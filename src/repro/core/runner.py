@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -81,39 +80,6 @@ from repro.storage.catalog import Catalog
 def _protocol_choice(protocol: Optional[str]) -> str:
     """Internal resolution: explicit value → ``$REPRO_PROTOCOL`` → single_pass."""
     return ExecutionOptions(protocol=protocol).resolve().protocol
-
-
-def default_protocol() -> str:
-    """Deprecated: the default protocol now resolves through
-    :class:`repro.api.ExecutionOptions`.
-
-    Kept as a shim per the documented stability policy; emits one
-    :class:`DeprecationWarning` per call.
-    """
-    warnings.warn(
-        "default_protocol() is deprecated; use "
-        "repro.api.ExecutionOptions().resolve().protocol instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _protocol_choice(None)
-
-
-def resolve_protocol(protocol: Optional[str] = None) -> str:
-    """Deprecated: ``protocol=`` keywords now resolve through
-    :class:`repro.api.ExecutionOptions`.
-
-    Kept as a shim per the documented stability policy; emits one
-    :class:`DeprecationWarning` per call and delegates to the same
-    resolution path, so behaviour is unchanged.
-    """
-    warnings.warn(
-        "resolve_protocol() is deprecated; use "
-        "repro.api.ExecutionOptions(protocol=...).resolve().protocol instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _protocol_choice(protocol)
 
 
 #: oracle ``total(Q)`` per plan object, for the two_pass compat path —
@@ -157,24 +123,6 @@ def _cached_total_work(
         except TypeError:
             pass
     return total
-
-
-def __getattr__(name: str):
-    # Deprecation shim: implicit oracle runs are gone with the single-pass
-    # protocol, but the helper stays importable for one release.
-    if name == "cached_total_work":
-        warnings.warn(
-            "cached_total_work is deprecated: the default single-pass "
-            "protocol labels truth from the instrumented run itself, so "
-            "implicit oracle runs are no longer part of evaluation. Call "
-            "measure_total_work() for an explicit oracle measurement, or "
-            "opt into protocol='two_pass' (env REPRO_PROTOCOL) for the "
-            "legacy behaviour.",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _cached_total_work
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 class TraceBuilder:

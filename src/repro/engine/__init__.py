@@ -1,15 +1,11 @@
 """Execution engine: expressions, physical operators, plans and executor."""
 
-import warnings
-
 from repro.engine.executor import (
     ENGINES,
     ExecutionResult,
-    default_engine,
     execute,
     measure_total_work,
     pipeline_boundary_operators,
-    resolve_engine,
 )
 from repro.engine.monitor import ExecutionMonitor
 from repro.engine.plan import Plan
@@ -19,23 +15,7 @@ __all__ = [
     "ExecutionMonitor",
     "ExecutionResult",
     "Plan",
-    "default_engine",
     "execute",
     "measure_total_work",
     "pipeline_boundary_operators",
-    "resolve_engine",
 ]
-
-
-def __getattr__(name: str):
-    if name == "DEFAULT_ENGINE":
-        warnings.warn(
-            "repro.engine.DEFAULT_ENGINE is deprecated; use "
-            "repro.api.ExecutionOptions().resolve().engine instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.engine.executor import _engine_choice
-
-        return _engine_choice(None)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))

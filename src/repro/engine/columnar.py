@@ -1,11 +1,12 @@
 """The columnar engine: batch execution with tick-exact replay.
 
-The third engine behind :func:`repro.engine.executor.resolve_engine`.  Where
+The third engine behind :func:`repro.engine.executor.execute`.  Where
 the interpreted engine pulls one row per ``get_next`` and the fused engine
 compiles operator chains into generators, this engine materializes each
 pipeline's data flow as whole columns (NumPy arrays when
-:mod:`repro.storage.columnar` packed them, plain lists otherwise), computes
-every operator's output batch with vectorized kernels — and then *replays*
+:mod:`repro.storage.columnar` packed them, plain lists for NULL-bearing or
+mixed-type columns), computes every operator's output batch with
+vectorized kernels — and then *replays*
 the work model: every counted operator's tick positions are reconstructed
 exactly, so cadence observers, pipeline-boundary forced rounds, and the
 event stream fire at precisely the interpreted engine's tick numbers with
@@ -39,18 +40,21 @@ vectorized inside an otherwise fused program (see
 compilers unchanged.  Expressions without an exact vectorized translation
 fall back row-at-a-time per stage via the operators' own bound functions.
 
-NumPy is optional: every kernel has a list fallback (bisect, accumulate,
-comprehensions) with identical semantics.
+The engine requires NumPy: the replay bookkeeping (index, ``cons`` and
+position arrays) is int64 arrays on every path.  Only *data* columns may be
+plain lists, and every kernel that reads one keeps an exact row-semantics
+branch for it.  Without NumPy, :meth:`repro.options.ExecutionOptions.resolve`
+picks the fused engine, so this module is never imported.
 """
 
 from __future__ import annotations
 
 import bisect
-from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
-import repro.storage.columnar as colstore
+import numpy as _np
+
 from repro.engine.compiled import _Compiler, _Node
 from repro.engine.operators.aggregate import (
     AggregateKind,
@@ -70,11 +74,6 @@ from repro.engine.operators.topn import TopN, _OrderedRow
 from repro.engine.vectorize import Unvectorizable, evaluate, tolist, truth_mask
 from repro.storage.columnar import columns_for, pack_values
 from repro.storage.table import Row
-
-try:  # pragma: no cover - exercised via the no-NumPy CI job
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 #: operator types with a vectorized translation; anything else falls back
 _VEC_TYPES = frozenset(
@@ -103,12 +102,8 @@ def _vec_supported(op: Operator) -> bool:
     return all(type(node) in _VEC_TYPES for node in op.walk())
 
 
-def _use_np() -> bool:
-    return _np is not None and colstore.HAVE_NUMPY
-
-
 def _is_np(values: object) -> bool:
-    return _np is not None and isinstance(values, _np.ndarray)
+    return isinstance(values, _np.ndarray)
 
 
 def _gather(col, idx):
@@ -181,38 +176,19 @@ class _LazyCols(list):
         return value
 
 
-def _mask_indices(mask):
-    """Positions where a selection mask holds (ascending).
-
-    Returns an int64 array whenever NumPy is available — even for Python
-    list masks (row-fallback predicates) — so downstream gathers and
-    deferral compositions stay on the C fancy-indexing path.
-    """
-    if _is_np(mask):
-        return _np.flatnonzero(mask)
-    kept = [j for j, keep in enumerate(mask) if keep]
-    if _use_np():
-        return _np.asarray(kept, dtype=_np.int64)
-    return kept
-
-
 def _cons_from_indices(idx, sentinel: int):
     """``cons`` for a stage whose output ``i`` consumed child item ``idx[i]``."""
-    if _is_np(idx):
-        return _np.concatenate(
-            (idx.astype(_np.int64) + 1, _np.array([sentinel], dtype=_np.int64))
-        )
-    return [j + 1 for j in idx] + [sentinel]
+    return _np.concatenate(
+        (idx.astype(_np.int64) + 1, _np.array([sentinel], dtype=_np.int64))
+    )
 
 
 def _excl_cumsum(values):
     """Exclusive prefix sums: length ``len(values) + 1``, starts at 0."""
-    if _is_np(values):
-        out = _np.empty(len(values) + 1, dtype=_np.int64)
-        out[0] = 0
-        _np.cumsum(values, out=out[1:])
-        return out
-    return list(accumulate(values, initial=0))
+    out = _np.empty(len(values) + 1, dtype=_np.int64)
+    out[0] = 0
+    _np.cumsum(values, out=out[1:])
+    return out
 
 
 class _Batch:
@@ -368,12 +344,10 @@ class _KeyedLookup:
             if matches:
                 probe_idx.extend([j] * len(matches))
                 positions.extend(matches)
-        if _use_np():
-            return (
-                _np.asarray(probe_idx, dtype=_np.int64),
-                _np.asarray(positions, dtype=_np.int64),
-            )
-        return probe_idx, positions
+        return (
+            _np.asarray(probe_idx, dtype=_np.int64),
+            _np.asarray(positions, dtype=_np.int64),
+        )
 
 
 #: per-index probe structures, shared across runs (indexes are immutable)
@@ -442,7 +416,7 @@ def _cluster_keys(vcols: List[object], n: int):
     but NaNs do not (a dict groups by object identity first), so those
     fall back to the per-row structures.
     """
-    if n == 0 or not vcols or not _use_np():
+    if n == 0 or not vcols:
         return None
     for vcol in vcols:
         if not _is_np(vcol):
@@ -627,8 +601,9 @@ class _ChainLayout:
 
     def __init__(self, total: int, ownpos, markers) -> None:
         self.total = total
-        #: per stage: ascending chain-relative positions of its own ticks
-        self.ownpos: List[List[int]] = ownpos
+        #: per stage: an int64 array of the ascending chain-relative
+        #: positions of its own ticks
+        self.ownpos = ownpos
         #: ``(position, stage_index, op)`` sorted; bottom-up within a tie,
         #: matching the interpreted cascade (a child's finish is recorded
         #: inside the parent's pull, before the parent's own finish)
@@ -636,51 +611,28 @@ class _ChainLayout:
 
 
 def _chain_layout(stages: List[_Stage]) -> _ChainLayout:
-    use_np = _use_np()
     stage_count = len(stages)
     counts = [stage.batch.n for stage in stages]
 
     conses: List[object] = [None]
     for stage in stages[1:]:
-        cons = stage.cons
-        if use_np:
-            cons = _np.asarray(cons, dtype=_np.int64)
-        elif _is_np(cons):
-            cons = cons.tolist()
-        conses.append(cons)
+        conses.append(_np.asarray(stage.cons, dtype=_np.int64))
 
     # Bottom-up: tsizes[s][i] = ticks item i of stage s contributes (its own
     # tick if a real output, plus every child tick its consumption covers).
     tsizes: List[object] = []
     csums: List[object] = []
-    if use_np:
-        t0 = _np.ones(counts[0] + 1, dtype=_np.int64)
-        t0[counts[0]] = 0
-    else:
-        t0 = [1] * counts[0] + [0]
+    t0 = _np.ones(counts[0] + 1, dtype=_np.int64)
+    t0[counts[0]] = 0
     tsizes.append(t0)
     for s in range(1, stage_count):
         child_csum = _excl_cumsum(tsizes[s - 1])
         csums.append(child_csum)
         cons = conses[s]
         n_s = counts[s]
-        if use_np:
-            previous = _np.concatenate(
-                (_np.zeros(1, dtype=_np.int64), cons[:-1])
-            )
-            sizes = child_csum[cons] - child_csum[previous]
-            sizes[:n_s] += 1
-        else:
-            sizes = []
-            previous_cons = 0
-            for i in range(n_s + 1):
-                consumed = cons[i]
-                sizes.append(
-                    (1 if i < n_s else 0)
-                    + child_csum[consumed]
-                    - child_csum[previous_cons]
-                )
-                previous_cons = consumed
+        previous = _np.concatenate((_np.zeros(1, dtype=_np.int64), cons[:-1]))
+        sizes = child_csum[cons] - child_csum[previous]
+        sizes[:n_s] += 1
         tsizes.append(sizes)
 
     # Top-down: item start positions, then each stage's own tick positions.
@@ -697,45 +649,24 @@ def _chain_layout(stages: List[_Stage]) -> _ChainLayout:
         cons = conses[s]
         child_csum = csums[s - 1]
         reach = int(cons[pulled[s] - 1])
-        if use_np:
-            items = _np.arange(reach, dtype=_np.int64)
-            owner = _np.searchsorted(cons, items, side="right")
-            previous = _np.concatenate(
-                (_np.zeros(1, dtype=_np.int64), cons[:-1])
-            )
-            child_starts = (
-                _np.asarray(starts[s])[owner]
-                + child_csum[items]
-                - child_csum[previous[owner]]
-            )
-        else:
-            parent_starts = starts[s]
-            child_starts = []
-            for j in range(reach):
-                owner = bisect.bisect_right(cons, j)
-                before = cons[owner - 1] if owner else 0
-                child_starts.append(
-                    parent_starts[owner] + child_csum[j] - child_csum[before]
-                )
-        starts[s - 1] = child_starts
+        items = _np.arange(reach, dtype=_np.int64)
+        owner = _np.searchsorted(cons, items, side="right")
+        previous = _np.concatenate((_np.zeros(1, dtype=_np.int64), cons[:-1]))
+        starts[s - 1] = (
+            starts[s][owner] + child_csum[items] - child_csum[previous[owner]]
+        )
         pulled[s - 1] = reach
 
-    ownpos: List[List[int]] = []
+    ownpos = []
     markers = []
     for s, stage in enumerate(stages):
         n_s = counts[s]
         sizes = tsizes[s]
         stage_starts = starts[s]
         real = min(pulled[s], n_s)
-        if use_np:
-            # Stays an int64 array: the replay seeks into it with
-            # searchsorted, so the n-element tolist would be pure waste.
-            positions = stage_starts[:real] + sizes[:real] - 1
-        else:
-            positions = [
-                stage_starts[i] + sizes[i] - 1 for i in range(real)
-            ]
-        ownpos.append(positions)
+        # Stays an int64 array: the replay seeks into it with searchsorted,
+        # so the n-element tolist would be pure waste.
+        ownpos.append(stage_starts[:real] + sizes[:real] - 1)
         if pulled[s] == n_s + 1:  # sentinel consumed -> the op finishes
             markers.append(
                 (int(stage_starts[n_s] + sizes[n_s]), s, stage.op)
@@ -1147,13 +1078,9 @@ class _VecRunner:
             deltas = []
             for s, stage in enumerate(stages):
                 before = pointers[s]
-                positions = ownpos[s]
-                if _is_np(positions):
-                    # target only grows, so the unbounded seek can never
-                    # land before the previous pointer.
-                    after = int(positions.searchsorted(target))
-                else:
-                    after = bisect.bisect_left(positions, target, before)
+                # target only grows, so the unbounded seek can never land
+                # before the previous pointer.
+                after = int(ownpos[s].searchsorted(target))
                 if after != before:
                     pointers[s] = after
                     stage.op.rows_produced = after
@@ -1161,14 +1088,9 @@ class _VecRunner:
             # The output emitted at the window's final tick (if any) is
             # still mid-get_next when an observer fires on that tick: only
             # outputs at strictly earlier positions have been returned.
-            if _is_np(top_positions):
-                returned = min(
-                    int(top_positions.searchsorted(target - 1)), pointers[-1]
-                )
-            else:
-                returned = bisect.bisect_left(
-                    top_positions, target - 1, 0, pointers[-1]
-                )
+            returned = min(
+                int(top_positions.searchsorted(target - 1)), pointers[-1]
+            )
             sink.advance(returned)
             for operator_id, count in deltas:
                 monitor.record_batch(operator_id, count)
@@ -1201,7 +1123,9 @@ class _VecRunner:
         except Unvectorizable:
             predicate = op._bound
             mask = [predicate(row) is True for row in child.rows()]
-        kept = _mask_indices(mask)
+        # Row-fallback list masks convert too, so downstream gathers and
+        # deferral compositions stay on the C fancy-indexing path.
+        kept = _np.flatnonzero(mask)
         cols = [_defer(col, kept) for col in child.cols]
         return _Stage(
             op,
@@ -1221,12 +1145,8 @@ class _VecRunner:
             batch = _rows_to_batch(
                 op.schema, [project(row) for row in child.rows()]
             )
-        if _use_np():
-            cons = _np.arange(1, n + 2, dtype=_np.int64)
-            cons[n] = n + 1
-        else:
-            cons = list(range(1, n + 2))
-            cons[n] = n + 1
+        cons = _np.arange(1, n + 2, dtype=_np.int64)
+        cons[n] = n + 1
         return _Stage(op, batch, cons)
 
     def _join_output(
@@ -1250,7 +1170,7 @@ class _VecRunner:
             except Unvectorizable:
                 residual = op._residual_fn
                 mask = [residual(row) is True for row in joined.rows()]
-            kept = _mask_indices(mask)
+            kept = _np.flatnonzero(mask)
             out_idx = _gather(out_idx, kept)
             cols = [_defer(col, kept) for col in joined.cols]
             count = len(kept)
@@ -1282,22 +1202,12 @@ class _VecRunner:
         """Probe-preserving outer join: pad matchless probes with NULLs."""
         n_probe = child.n
         build_width = len(op._null_pad)
-        if _is_np(probe_idx):
-            emitted = _np.bincount(probe_idx, minlength=n_probe)
-            pads = _np.flatnonzero(emitted == 0)
-            if not len(pads):
-                return probe_idx, cols, count
-            merged_idx = _np.concatenate((probe_idx, pads))
-            order = _np.argsort(merged_idx, kind="stable")
-        else:
-            emitted = [0] * n_probe
-            for j in probe_idx:
-                emitted[j] += 1
-            pads = [j for j in range(n_probe) if not emitted[j]]
-            if not pads:
-                return probe_idx, cols, count
-            merged_idx = list(probe_idx) + pads
-            order = sorted(range(len(merged_idx)), key=merged_idx.__getitem__)
+        emitted = _np.bincount(probe_idx, minlength=n_probe)
+        pads = _np.flatnonzero(emitted == 0)
+        if not len(pads):
+            return probe_idx, cols, count
+        merged_idx = _np.concatenate((probe_idx, pads))
+        order = _np.argsort(merged_idx, kind="stable")
         pad_count = len(pads)
         out_cols = []
         for position, col in enumerate(cols):
@@ -1371,12 +1281,7 @@ class _VecRunner:
         last = min(n, op.offset + op.limit)
         taken = max(0, last - first)
         cols = [_slice_col(col, first, last) for col in child.cols]
-        if _use_np():
-            cons = _np.arange(
-                first + 1, first + taken + 2, dtype=_np.int64
-            )
-        else:
-            cons = list(range(first + 1, first + taken + 2))
+        cons = _np.arange(first + 1, first + taken + 2, dtype=_np.int64)
         # The sentinel: the child's own sentinel is consumed only when the
         # child ran out before the limit was filled; otherwise the child is
         # abandoned mid-stream (and therefore never finishes).
@@ -1399,8 +1304,7 @@ class _VecRunner:
                 if row not in seen:
                     seen.add(row)
                     kept.append(j)
-            if _use_np():
-                kept = _np.asarray(kept, dtype=_np.int64)
+            kept = _np.asarray(kept, dtype=_np.int64)
         cols = [_defer(col, kept) for col in child.cols]
         return _Stage(
             op,

@@ -12,23 +12,22 @@ firing instants, event streams — see ``tests/engine/test_compiled_engine``):
   accounting batched between observer cadence points;
 * ``"interpreted"`` — the row-at-a-time Volcano reference path;
 * ``"columnar"`` — the batch engine in :mod:`repro.engine.columnar`:
-  whole-column kernels (NumPy when available, lists otherwise) with a
-  tick-exact replay of the work model; unsupported operators fall back
-  per-subtree to the fused compilers.
+  whole-column NumPy kernels with a tick-exact replay of the work model;
+  unsupported operators fall back per-subtree to the fused compilers.
+  It requires NumPy: without it, ``engine="columnar"`` resolves to
+  ``"fused"``.
 
 ``REPRO_ENGINE=interpreted`` in the environment flips the default.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from repro.engine.monitor import ExecutionMonitor
 from repro.engine.operators.base import ExecutionContext
 from repro.engine.plan import Plan
-from repro.errors import ExecutionError
 from repro.options import ENGINES, ExecutionOptions
 from repro.storage.table import Row
 
@@ -36,55 +35,6 @@ from repro.storage.table import Row
 def _engine_choice(engine: Optional[str]) -> str:
     """Internal resolution: explicit value → ``$REPRO_ENGINE`` → fused."""
     return ExecutionOptions(engine=engine).resolve().engine
-
-
-def default_engine() -> str:
-    """Deprecated: the default engine now resolves through
-    :class:`repro.api.ExecutionOptions`.
-
-    Kept as a shim per the documented stability policy; emits one
-    :class:`DeprecationWarning` per call.
-    """
-    warnings.warn(
-        "default_engine() is deprecated; use "
-        "repro.api.ExecutionOptions().resolve().engine instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _engine_choice(None)
-
-
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """Deprecated: ``engine=`` keywords now resolve through
-    :class:`repro.api.ExecutionOptions`.
-
-    Kept as a shim per the documented stability policy; emits one
-    :class:`DeprecationWarning` per call and delegates to the same
-    resolution path, so behaviour (explicit value → ``$REPRO_ENGINE`` →
-    ``"fused"``, unknown names raising :class:`ExecutionError`) is
-    unchanged.
-    """
-    warnings.warn(
-        "resolve_engine() is deprecated; use "
-        "repro.api.ExecutionOptions(engine=...).resolve().engine instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _engine_choice(engine)
-
-
-def __getattr__(name: str):
-    # Deprecated module attribute, kept as a shim: the old import-time
-    # constant could silently disagree with a later $REPRO_ENGINE change.
-    if name == "DEFAULT_ENGINE":
-        warnings.warn(
-            "repro.engine.executor.DEFAULT_ENGINE is deprecated; use "
-            "repro.api.ExecutionOptions().resolve().engine instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _engine_choice(None)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 def pipeline_boundary_operators(plan: Plan) -> Set[int]:

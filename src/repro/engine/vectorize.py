@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
+import numpy as _np
+
 from repro.engine.expressions import (
     _ARITHMETIC_FNS,
     _COMPARE_FNS,
@@ -46,11 +48,6 @@ from repro.engine.expressions import (
 )
 from repro.storage.schema import Schema
 
-try:  # pragma: no cover - exercised via the no-NumPy CI job
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 
 class Unvectorizable(Exception):
     """Raised when an expression has no exact vectorized translation."""
@@ -66,7 +63,7 @@ class _Const:
 
 
 def _is_np(values: object) -> bool:
-    return _np is not None and isinstance(values, _np.ndarray)
+    return isinstance(values, _np.ndarray)
 
 
 def _expand(values, n: int):
@@ -315,8 +312,6 @@ def _ev_is_null(expr: IsNull, schema, cols, n: int):
         is_null = value.value is None
         return _Const((not is_null) if negated else is_null)
     if _is_np(value):  # NULL-free by construction
-        if _np is None:
-            raise Unvectorizable("unreachable")
         return (
             _np.ones(n, dtype=bool) if negated else _np.zeros(n, dtype=bool)
         )

@@ -1,20 +1,11 @@
 """`ExecutionOptions`: the single resolution path for every execution knob.
 
-Historically each knob grew its own resolver idiom — ``resolve_engine`` in
-:mod:`repro.engine.executor`, ``resolve_protocol`` in
-:mod:`repro.core.runner`, ``resolve_backend``/``resolve_start_method`` in
-:mod:`repro.service.procpool` — each reading its own ``REPRO_*`` environment
-variable at its own call site.  Three parallel idioms meant three places for
-a new entry point (the network server being the fourth) to copy, and three
-places for their semantics to drift.
-
-:class:`ExecutionOptions` collapses them: one frozen dataclass carrying every
-knob, one :meth:`ExecutionOptions.resolve` method that fills unset fields
-from the environment and validates the result.  **This module is the only
-place in the package that reads a ``REPRO_*`` environment variable.**  The
-facade (``repro.connect``), the query service, the CLI and the network
-server all consume it; the old per-knob resolvers survive only as
-:class:`DeprecationWarning` shims delegating here.
+One frozen dataclass carries every knob, and one
+:meth:`ExecutionOptions.resolve` method fills unset fields from the
+environment and validates the result.  **This module is the only place in
+the package that reads a ``REPRO_*`` environment variable.**  The facade
+(``repro.connect``), the query service, the CLI and the network server all
+consume it.
 
 The module sits at the very bottom of the import graph (stdlib +
 :mod:`repro.errors` only) so that the engine, runner and service layers can
@@ -23,6 +14,7 @@ all import it without cycles.
 
 from __future__ import annotations
 
+import importlib.util
 import multiprocessing
 import os
 from dataclasses import dataclass, fields, replace
@@ -36,7 +28,8 @@ from repro.errors import (
 )
 
 #: the execution engines (see ``docs/engine.md``); all observationally
-#: identical, so the choice is purely a throughput knob
+#: identical, so the choice is purely a throughput knob.  ``"columnar"``
+#: needs NumPy and resolves to ``"fused"`` where NumPy cannot be imported.
 ENGINES = ("fused", "interpreted", "columnar")
 
 #: the evaluation protocols (see ``docs/api.md``): ``single_pass`` executes
@@ -115,6 +108,9 @@ class ExecutionOptions:
     ``queue_depth``           —                        ``16``
     ========================  =======================  ==================
 
+    ``engine="columnar"`` resolves to ``"fused"`` when NumPy is not
+    installed.
+
     ``bounds`` names the bound-provider stack (a sequence of
     :data:`BOUND_PROVIDERS` entries; the environment variable takes a
     comma-separated list, e.g. ``REPRO_BOUNDS=paper2005,degree_seq``).
@@ -164,6 +160,10 @@ class ExecutionOptions:
             raise ExecutionError(
                 "unknown engine %r (expected one of %s)" % (engine, ENGINES)
             )
+        if engine == "columnar" and importlib.util.find_spec("numpy") is None:
+            # The columnar engine needs NumPy; without it the fused engine
+            # is the fastest one left.
+            engine = "fused"
         protocol = (
             self.protocol or self._env("REPRO_PROTOCOL")
             or _FALLBACKS["protocol"]

@@ -54,6 +54,14 @@ _REASONS = {
 }
 
 
+class _RequestError(Exception):
+    """A request refused before routing, answered with ``status``."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
 class ReproServer:
     """The network tier: HTTP admission, WebSocket streams, fair dispatch."""
 
@@ -204,6 +212,9 @@ class ReproServer:
             )
         except asyncio.IncompleteReadError:
             pass
+        except _RequestError as exc:
+            with contextlib.suppress(Exception):
+                self._respond(writer, exc.status, {"error": str(exc)})
         except Exception as exc:
             with contextlib.suppress(Exception):
                 self._respond(writer, 500, {"error": str(exc)})
@@ -221,7 +232,7 @@ class ReproServer:
         try:
             method, path, _version = line.decode("latin-1").split()
         except ValueError:
-            raise ValueError("malformed request line") from None
+            raise _RequestError(400, "malformed request line") from None
         headers: Dict[str, str] = {}
         while True:
             header = await reader.readline()
@@ -229,10 +240,15 @@ class ReproServer:
                 break
             name, _, value = header.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        # 1*DIGIT only: no sign, so a negative length never reaches
+        # readexactly.
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise _RequestError(400, "invalid Content-Length %r" % raw_length)
+        length = int(raw_length)
         if length > self.config.max_body_bytes:
-            raise ValueError("request body exceeds %d bytes"
-                             % self.config.max_body_bytes)
+            raise _RequestError(413, "request body exceeds %d bytes"
+                                % self.config.max_body_bytes)
         body = await reader.readexactly(length) if length else b""
         return method.upper(), path, headers, body
 
@@ -368,13 +384,15 @@ class ReproServer:
         sender = asyncio.ensure_future(self._ws_send(writer, queue))
         receiver = asyncio.ensure_future(self._ws_recv(reader, writer))
         try:
-            done, pending = await asyncio.wait(
+            await asyncio.wait(
                 {sender, receiver}, return_when=asyncio.FIRST_COMPLETED,
             )
-            for task in pending:
-                task.cancel()
-                with contextlib.suppress(asyncio.CancelledError, Exception):
-                    await task
+            sender.cancel()  # a no-op for the task that already finished
+            receiver.cancel()
+            # Retrieve both outcomes: when the peer drops mid-stream the
+            # sender's drain() fails with a ConnectionError, which would
+            # otherwise be logged as "Task exception was never retrieved".
+            await asyncio.gather(sender, receiver, return_exceptions=True)
         finally:
             scheduled.stream.unsubscribe(queue)
             self.metrics.record_ws_close()

@@ -68,86 +68,12 @@ from repro.service.handle import QueryHandle, QueryState
 from repro.service.monitor import ServiceExecutionMonitor
 from repro.service.resilient import ResilientEstimator
 
-# -- backend / start-method resolution -------------------------------------------
-
-
-def _backend_choice(backend: Optional[str]) -> str:
-    """Internal resolution: explicit value → ``$REPRO_BACKEND`` → thread."""
-    return ExecutionOptions(backend=backend).resolve().backend
+# -- start-method resolution ------------------------------------------------------
 
 
 def _start_method_choice(method: Optional[str]) -> str:
     """Internal resolution: explicit → ``$REPRO_START_METHOD`` → fork/spawn."""
     return ExecutionOptions(start_method=method).resolve().start_method
-
-
-def default_backend() -> str:
-    """Deprecated: the default backend now resolves through
-    :class:`repro.api.ExecutionOptions`.
-
-    Kept as a shim per the documented stability policy; emits one
-    :class:`DeprecationWarning` per call.
-    """
-    warnings.warn(
-        "default_backend() is deprecated; use "
-        "repro.api.ExecutionOptions().resolve().backend instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _backend_choice(None)
-
-
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Deprecated: ``backend=`` keywords now resolve through
-    :class:`repro.api.ExecutionOptions`.
-
-    Kept as a shim per the documented stability policy; emits one
-    :class:`DeprecationWarning` per call and delegates to the same
-    resolution path, so behaviour (explicit value → ``$REPRO_BACKEND`` →
-    ``"thread"``, unknown names raising :class:`ServiceError`) is
-    unchanged.
-    """
-    warnings.warn(
-        "resolve_backend() is deprecated; use "
-        "repro.api.ExecutionOptions(backend=...).resolve().backend instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _backend_choice(backend)
-
-
-def default_start_method() -> str:
-    """Deprecated: the default start method now resolves through
-    :class:`repro.api.ExecutionOptions`.
-
-    Kept as a shim per the documented stability policy; emits one
-    :class:`DeprecationWarning` per call.  Fork remains the fast path
-    where available: workers inherit the catalog without serialization.
-    """
-    warnings.warn(
-        "default_start_method() is deprecated; use "
-        "repro.api.ExecutionOptions().resolve().start_method instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _start_method_choice(None)
-
-
-def resolve_start_method(method: Optional[str] = None) -> str:
-    """Deprecated: ``start_method=`` keywords now resolve through
-    :class:`repro.api.ExecutionOptions`.
-
-    Kept as a shim per the documented stability policy; emits one
-    :class:`DeprecationWarning` per call with unchanged behaviour.
-    """
-    warnings.warn(
-        "resolve_start_method() is deprecated; use "
-        "repro.api.ExecutionOptions(start_method=...).resolve()"
-        ".start_method instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _start_method_choice(method)
 
 
 @contextmanager

@@ -17,10 +17,9 @@ Views are cached per table object (weakly, so dropped tables free their
 arrays) and tables are immutable after load, so the transposition runs at
 most once per table per process.
 
-NumPy is optional.  Without it every column is a plain list and the
-columnar engine still runs — correct, just without the vectorized fast
-paths (the ``array`` module offers no 2-D ops worth the indirection, so
-lists are the honest fallback).
+This module, like the columnar engine it feeds, requires NumPy; engine
+resolution picks the fused engine instead when NumPy is not installed (see
+:meth:`repro.options.ExecutionOptions.resolve`).
 """
 
 from __future__ import annotations
@@ -28,16 +27,10 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 from weakref import WeakKeyDictionary
 
+import numpy as _np
+
 from repro.storage.schema import ColumnType
 from repro.storage.table import Table
-
-try:  # pragma: no cover - exercised via the no-NumPy CI job
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-#: re-assignable for tests (monkeypatch to force the list fallback)
-HAVE_NUMPY = _np is not None
 
 #: exact Python type a column must hold, per declared column type, to be
 #: eligible for array packing (bool is an int subclass, so identity checks)
@@ -61,8 +54,6 @@ _view_cache: "WeakKeyDictionary[Table, List[object]]" = WeakKeyDictionary()
 
 def _pack_column(values: List[object], column_type: ColumnType):
     """An array for ``values`` when exactly typed and NULL-free, else the list."""
-    if not HAVE_NUMPY or _np is None:
-        return values
     exact = _EXACT_TYPES.get(column_type)
     if exact is None:
         return values
@@ -112,7 +103,7 @@ def pack_values(values: Sequence[object], column_type: Optional[ColumnType]):
     values = list(values)
     if column_type is not None:
         return _pack_column(values, column_type)
-    if not HAVE_NUMPY or _np is None or not values:
+    if not values:
         return values
     first = type(values[0])
     if first is int:

@@ -1,24 +1,23 @@
-"""The stable ``repro.api`` facade and its compatibility shims.
+"""The stable ``repro.api`` facade.
 
 Two contracts are pinned here: the README quickstart runs **verbatim**
-through the facade, and retired spellings (``DEFAULT_ENGINE``) keep
-working behind a :class:`DeprecationWarning` while the facade itself stays
-warning-free.
+through the facade, and the facade stays warning-free.  The deprecation
+shims the stability policy kept for one minor release (``DEFAULT_ENGINE``
+and the per-knob ``resolve_*``/``default_*`` resolvers) are gone since
+1.2.0.
 """
 
 from __future__ import annotations
 
+import importlib
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
 import repro
-from repro.engine.executor import (
-    ENGINES,
-    default_engine,
-    resolve_engine,
-)
 from repro.options import ExecutionOptions
 from repro.engine.plan import Plan
 from repro.errors import ReproError
@@ -143,43 +142,38 @@ class TestEngineResolution:
 
 
 class TestDeprecationShims:
-    def test_executor_default_engine_warns(self):
-        import repro.engine.executor as executor
+    @pytest.mark.parametrize("module,name", [
+        ("repro.engine", "DEFAULT_ENGINE"),
+        ("repro.engine", "default_engine"),
+        ("repro.engine", "resolve_engine"),
+        ("repro.engine.executor", "DEFAULT_ENGINE"),
+        ("repro.engine.executor", "default_engine"),
+        ("repro.engine.executor", "resolve_engine"),
+        ("repro.core", "default_protocol"),
+        ("repro.core", "resolve_protocol"),
+        ("repro.core.runner", "cached_total_work"),
+        ("repro.core.runner", "default_protocol"),
+        ("repro.core.runner", "resolve_protocol"),
+        ("repro.service", "default_backend"),
+        ("repro.service", "resolve_backend"),
+        ("repro.service", "default_start_method"),
+        ("repro.service", "resolve_start_method"),
+        ("repro.service.procpool", "default_backend"),
+        ("repro.service.procpool", "resolve_backend"),
+        ("repro.service.procpool", "default_start_method"),
+        ("repro.service.procpool", "resolve_start_method"),
+    ])
+    def test_shims_removed_in_1_2_0(self, module, name):
+        assert not hasattr(importlib.import_module(module), name)
 
-        with pytest.warns(DeprecationWarning, match="ExecutionOptions"):
-            value = executor.DEFAULT_ENGINE
-        assert value in ENGINES
-        assert value == ExecutionOptions().resolve().engine
-
-    def test_engine_package_default_engine_warns(self):
-        import repro.engine as engine
-
-        with pytest.warns(DeprecationWarning):
-            value = engine.DEFAULT_ENGINE
-        assert value in ENGINES
-
-    def test_resolve_engine_shim_warns_and_delegates(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "interpreted")
-        with pytest.warns(DeprecationWarning, match="ExecutionOptions"):
-            assert resolve_engine("fused") == "fused"
-        with pytest.warns(DeprecationWarning, match="ExecutionOptions"):
-            assert resolve_engine(None) == "interpreted"
-
-    def test_resolve_engine_shim_still_rejects_unknown(self):
-        from repro.errors import ExecutionError
-
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ExecutionError):
-                resolve_engine("bogus")
-
-    def test_default_engine_shim_warns_once_per_call(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", DeprecationWarning)
-            default_engine()
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
+    def test_version_has_one_source(self):
+        setup_py = README.parent / "setup.py"
+        result = subprocess.run(
+            [sys.executable, str(setup_py), "--version"],
+            cwd=str(README.parent), capture_output=True, text=True,
+            check=True,
+        )
+        assert result.stdout.strip().splitlines()[-1] == repro.__version__
 
     def test_facade_paths_are_warning_free(self):
         with warnings.catch_warnings():

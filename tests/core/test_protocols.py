@@ -313,11 +313,6 @@ class TestOracleCacheThreadSafety:
 
 
 class TestDeprecationShim:
-    def test_cached_total_work_warns_and_still_measures(self):
-        with pytest.warns(DeprecationWarning, match="measure_total_work"):
-            shim = getattr(runner_module, "cached_total_work")
-        assert shim(scan_plan()) == measure_total_work(scan_plan())
-
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):
             getattr(runner_module, "definitely_not_an_attribute")

@@ -1,5 +1,5 @@
-"""The columnar batch engine: fallback paths, edge cases, and the list-only
-(no-NumPy) mode.
+"""The columnar batch engine: fallback paths, edge cases, and list-typed
+data columns.
 
 The broad observational-identity matrix lives in
 ``test_compiled_engine.py`` (all engines over TPC-H + adversarial plans);
@@ -12,16 +12,18 @@ this module covers what is specific to ``repro.engine.columnar``:
   to exact row semantics without changing a single observable;
 * LIMIT/OFFSET truncation edges, probe-preserving outer joins, and empty
   inputs;
-* the ``HAVE_NUMPY = False`` list fallback, on fresh tables so no cached
-  array views leak in.
+* NULL-bearing and mixed int/float columns, which stay plain lists, pushed
+  through every kernel that keeps a list branch.
+
+The engine requires NumPy (without it, engine resolution picks the fused
+engine; ``test_compiled_engine.py`` covers that), so this suite skips
+without it.
 """
 
 from __future__ import annotations
 
 import pytest
 
-import repro.storage.columnar as colstore
-from repro.engine.columnar import _vec_supported
 from repro.engine.executor import (
     ENGINES,
     execute,
@@ -35,24 +37,32 @@ from repro.engine.operators import (
     Filter,
     HashAggregate,
     HashJoin,
+    IndexNestedLoopsJoin,
     Limit,
     MergeJoin,
     NestedLoopsJoin,
     Project,
     Sort,
     SortKey,
+    StreamAggregate,
     TableScan,
     TopN,
     UnionAll,
     agg_avg,
     agg_min,
     agg_sum,
+    count,
     count_star,
 )
 from repro.engine.plan import Plan
 from repro.errors import ExecutionError
-from repro.storage import Table, schema_of
+from repro.storage import HashIndex, SortedIndex, Table, schema_of
 from repro.storage.schema import Column, ColumnType, Schema
+
+pytest.importorskip("numpy")
+
+import repro.storage.columnar as colstore  # noqa: E402
+from repro.engine.columnar import _vec_supported  # noqa: E402
 
 EVERY = 3  # tight cadence: every firing instant is compared
 
@@ -305,44 +315,131 @@ class TestOperatorEdges:
         assert columnar == interpreted  # == on floats: bit-identical or bust
 
 
-# -- the list-only fallback (no NumPy) ---------------------------------------------
+# -- list-typed data columns -------------------------------------------------------
+
+#: NULL-bearing INT keys, and FLOAT keys mixing in plain ints (2 == 2.0
+#: joins and groups like one key): neither packs into an array
+NULL_KEYS = [None, 1, 2, None, 3, 1, 4, None, 2, 0, 3, None, 5, 1]
+MIXED_KEYS = [1.0, 2, 2.0, 3.5, 1, 4.0, 0, 3.5, 2, 6.0, 1.0, 2.5]
 
 
-class TestListFallback:
-    @pytest.fixture(autouse=True)
-    def no_numpy(self, monkeypatch):
-        monkeypatch.setattr(colstore, "HAVE_NUMPY", False)
+def list_table(name, keys, key_type=ColumnType.INT):
+    """A table whose ``k`` column stays a list; ``v`` NULLs every 4th row."""
+    table = Table(
+        name,
+        Schema.of(name, [
+            Column("k", key_type, nullable=True),
+            Column("v", ColumnType.INT, nullable=True),
+        ]),
+        [
+            (key, None if i % 4 == 3 else i * 7 % 11)
+            for i, key in enumerate(keys)
+        ],
+    )
+    assert isinstance(colstore.columns_for(table)[0], list)
+    return table
 
-    def test_fresh_tables_get_list_views(self):
-        table = make_table("t", 5)
-        view = colstore.columns_for(table)
-        assert all(isinstance(column, list) for column in view)
 
-    def test_pipeline_matches_without_numpy(self):
-        build_side, probe = make_table("b", 10), make_table("p", 25)
+@pytest.fixture(params=["null", "mixed"])
+def keyed(request):
+    """(build/inner table, probe/outer table) over one kind of list keys."""
+    if request.param == "null":
+        return (
+            list_table("b", NULL_KEYS[:9]),
+            list_table("p", NULL_KEYS[::-1]),
+        )
+    return (
+        list_table("b", MIXED_KEYS[:7], ColumnType.FLOAT),
+        list_table("p", MIXED_KEYS[::-1], ColumnType.FLOAT),
+    )
+
+
+class TestListTypedColumns:
+    def test_hash_join(self, keyed):
+        build_side, probe = keyed
 
         def build():
-            join = HashJoin(
-                TableScan(build_side), TableScan(probe), col("b.k"), col("p.k")
-            )
-            agg = HashAggregate(
-                join,
-                [("k", col("b.k"))],
-                [count_star(), agg_sum(col("p.v"), "total")],
-            )
-            return Plan(Sort(agg, [SortKey(col("k"))]))
+            return Plan(HashJoin(
+                TableScan(build_side), TableScan(probe),
+                col("b.k"), col("p.k"),
+            ))
 
         assert_columnar_matches(build)
 
-    def test_blocking_operators_match_without_numpy(self):
-        table = make_table("t", 30, width=2)
+    @pytest.mark.parametrize("index_type", [HashIndex, SortedIndex])
+    def test_inl_join(self, keyed, index_type):
+        inner, outer = keyed
 
         def build():
-            top = TopN(
-                Filter(TableScan(table), col("t.v") > lit(2)),
-                [SortKey(col("t.v"), descending=True), SortKey(col("t.k"))],
-                6,
+            return Plan(IndexNestedLoopsJoin(
+                TableScan(outer), index_type("ix", inner, "k"), col("p.k"),
+            ))
+
+        assert_columnar_matches(build)
+
+    def test_probe_preserving_outer_join(self, keyed):
+        build_side, probe = keyed
+
+        def build():
+            return Plan(HashJoin(
+                TableScan(build_side), TableScan(probe),
+                col("b.k"), col("p.k"), preserve_probe=True,
+            ))
+
+        assert_columnar_matches(build)
+
+    def test_group_by_aggregates_over_nulls(self, keyed):
+        _, table = keyed
+
+        def build():
+            agg = HashAggregate(
+                TableScan(table),
+                [("k", col("p.k"))],
+                [
+                    agg_sum(col("p.v"), "total"),
+                    agg_avg(col("p.v"), "mean"),
+                    agg_min(col("p.v"), "low"),
+                    count(col("p.v"), "present"),
+                    count_star(),
+                ],
             )
-            return Plan(Distinct(top))
+            return Plan(agg)
+
+        assert_columnar_matches(build)
+
+    def test_stream_aggregate_over_list_keys(self, keyed):
+        _, table = keyed
+
+        def build():
+            ordered = Sort(TableScan(table), [SortKey(col("p.k"))])
+            return Plan(StreamAggregate(
+                ordered,
+                [("k", col("p.k"))],
+                [agg_sum(col("p.v"), "total"), count_star()],
+            ))
+
+        assert_columnar_matches(build)
+
+    def test_topn_over_nulls(self, keyed):
+        _, table = keyed
+        for descending in (False, True):
+            assert_columnar_matches(
+                lambda descending=descending: Plan(TopN(
+                    TableScan(table),
+                    [SortKey(col("p.k"), descending=descending),
+                     SortKey(col("p.v"))],
+                    5,
+                ))
+            )
+
+    def test_distinct_over_nulls(self, keyed):
+        _, table = keyed
+
+        def build():
+            projected = Project(
+                TableScan(table),
+                [("key", col("p.k")), ("value", col("p.v"))],
+            )
+            return Plan(Distinct(projected))
 
         assert_columnar_matches(build)

@@ -10,6 +10,9 @@ traces.  This suite asserts each of those layers, for every engine in
 ``executor.ENGINES``, over all 22 TPC-H plans and the adversarial join plans
 of §5 (the merge/NL plans exercise the columnar engine's per-subtree
 fallback: unsupported operators run through the fused adapters mid-plan).
+Without NumPy, ``engine="columnar"`` resolves to the fused engine; the
+resolution tests at the end hide NumPy and hold that run to the same
+contract.
 
 Plans hold operator state, so every run builds a fresh plan; counts are
 compared positionally over the plan's canonical pre-order traversal (labels
@@ -17,6 +20,8 @@ embed a process-wide id counter and differ between builds).
 """
 
 from __future__ import annotations
+
+import sys
 
 import pytest
 
@@ -30,6 +35,7 @@ from repro.engine.operators.base import ExecutionContext
 from repro.engine.operators.nested_loops import NestedLoopsJoin
 from repro.engine.operators.scan import TableScan
 from repro.engine.plan import Plan
+from repro.options import ExecutionOptions
 from repro.workloads.adversarial import make_example2, make_zipfian_join
 from repro.workloads.tpch.queries import build_query
 
@@ -85,6 +91,24 @@ def _assert_identical(build_plan, every: int = EVERY):
         assert compiled["firings"] == interpreted["firings"], engine
 
 
+def _estimator_traces(build_plan, catalog):
+    """Per engine: the sealed dne/pmax/safe trace of one run."""
+    traces = {}
+    for engine in ENGINES:
+        report = run_with_estimators(
+            build_plan(),
+            [DneEstimator(), PmaxEstimator(), SafeEstimator()],
+            catalog=catalog,
+            engine=engine,
+        )
+        traces[engine] = [
+            (s.curr, s.actual, s.estimates, s.lower_bound, s.upper_bound)
+            for s in report.trace.samples
+        ]
+        assert report.total == traces[engine][-1][0]
+    return traces
+
+
 # -- TPC-H ------------------------------------------------------------------------
 
 
@@ -95,19 +119,9 @@ def test_tpch_query_identical_under_both_engines(tpch_db, number):
 
 @pytest.mark.parametrize("number", TRACED_QUERIES)
 def test_tpch_estimator_traces_identical(tpch_db, number):
-    traces = {}
-    for engine in ENGINES:
-        report = run_with_estimators(
-            build_query(tpch_db, number),
-            [DneEstimator(), PmaxEstimator(), SafeEstimator()],
-            catalog=tpch_db.catalog,
-            engine=engine,
-        )
-        traces[engine] = [
-            (s.curr, s.actual, s.estimates, s.lower_bound, s.upper_bound)
-            for s in report.trace.samples
-        ]
-        assert report.total == traces[engine][-1][0]
+    traces = _estimator_traces(
+        lambda: build_query(tpch_db, number), tpch_db.catalog
+    )
     for engine in ENGINES:
         assert traces[engine] == traces["interpreted"], engine
 
@@ -158,18 +172,7 @@ def test_nested_loops_rescan_identical(zipf):
 
 
 def test_zipfian_estimator_traces_identical(zipf):
-    traces = {}
-    for engine in ENGINES:
-        report = run_with_estimators(
-            zipf.inl_plan(),
-            [DneEstimator(), PmaxEstimator(), SafeEstimator()],
-            catalog=zipf.catalog,
-            engine=engine,
-        )
-        traces[engine] = [
-            (s.curr, s.actual, s.estimates, s.lower_bound, s.upper_bound)
-            for s in report.trace.samples
-        ]
+    traces = _estimator_traces(zipf.inl_plan, zipf.catalog)
     for engine in ENGINES:
         assert traces[engine] == traces["interpreted"], engine
 
@@ -183,3 +186,21 @@ def test_observer_cadence_extremes(tpch_db, every):
     # interpreted one); a huge cadence means only boundary-forced rounds.
     _assert_identical(lambda: build_query(tpch_db, 6), every=every)
     _assert_identical(lambda: build_query(tpch_db, 18), every=every)
+
+
+# -- columnar resolution with and without NumPy ------------------------------------
+
+
+def test_columnar_resolves_to_columnar_with_numpy():
+    pytest.importorskip("numpy")
+    assert ExecutionOptions(engine="columnar").resolve().engine == "columnar"
+
+
+def test_columnar_resolves_to_fused_without_numpy(monkeypatch, tpch_db):
+    # A None entry in sys.modules makes find_spec report NumPy missing and
+    # ``import numpy`` raise ImportError, as on a NumPy-free install.
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    assert ExecutionOptions(engine="columnar").resolve().engine == "fused"
+    _assert_identical(lambda: build_query(tpch_db, 3))
+    traces = _estimator_traces(lambda: build_query(tpch_db, 3), tpch_db.catalog)
+    assert traces["columnar"] == traces["interpreted"]

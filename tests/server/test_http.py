@@ -2,11 +2,19 @@
 
 One module-scoped server on the thread backend serves most tests; the
 throttle tests get a dedicated server with a one-slot quota and a large
-table so the backlog is observable.
+table so the backlog is observable, and the dropped-client test gets one
+whose event loop records every exception it is handed.  Malformed requests
+go over raw sockets, since ``http.client`` refuses to send them.
 """
 
 from __future__ import annotations
 
+import base64
+import gc
+import json
+import os
+import socket
+import struct
 import time
 
 import pytest
@@ -52,6 +60,23 @@ def client(server):
 
 
 BIG_SQL = "SELECT g, COUNT(*), SUM(x) FROM big GROUP BY g"
+
+
+def raw_request(server, data: bytes):
+    """Send raw bytes; return the response's status code and JSON body."""
+    with socket.create_connection(
+        (server.config.host, server.port), timeout=10.0,
+    ) as sock:
+        sock.sendall(data)
+        response = bytearray()
+        while True:
+            chunk = sock.recv(4096)
+            if not chunk:
+                break
+            response += chunk
+    head, _, body = bytes(response).partition(b"\r\n\r\n")
+    status_line = head.split(b"\r\n")[0].decode("latin-1")
+    return int(status_line.split()[1]), status_line, json.loads(body)
 
 
 class TestHealthAndRouting:
@@ -150,6 +175,33 @@ class TestAdmission:
         client.stream_events(record["id"])
 
 
+class TestMalformedRequests:
+    def test_malformed_request_line_is_400(self, server):
+        status, _line, payload = raw_request(server, b"GARBAGE\r\n\r\n")
+        assert status == 400
+        assert "request line" in payload["error"]
+
+    @pytest.mark.parametrize("length", ["-5", "abc", "+3", "1.5"])
+    def test_invalid_content_length_is_400(self, server, length):
+        status, _line, payload = raw_request(server, (
+            "POST /queries HTTP/1.1\r\nContent-Length: %s\r\n\r\n" % length
+        ).encode("latin-1"))
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+
+    def test_oversized_body_is_413(self, server):
+        length = server.config.max_body_bytes + 1
+        status, line, payload = raw_request(server, (
+            "POST /queries HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % length
+        ).encode("latin-1"))
+        assert status == 413
+        assert line.endswith("Payload Too Large")
+        assert str(server.config.max_body_bytes) in payload["error"]
+
+    def test_server_still_serves_after_bad_requests(self, client):
+        assert client.healthz()["ok"] is True
+
+
 class TestCancel:
     def test_cancel_running_query(self, client):
         record = client.submit(BIG_SQL, tenant="t-cancel",
@@ -243,3 +295,49 @@ class TestMetrics:
         assert after["opened"] >= before["opened"] + 1
         assert after["closed"] >= before["closed"] + 1
         assert after["open"] >= 0
+
+
+class TestDroppedClient:
+    def test_abort_mid_stream_leaves_no_unretrieved_exception(self, db):
+        instance = ReproServer(db.catalog, config=ServerConfig(
+            options=ExecutionOptions(backend="thread", max_workers=1),
+        ))
+        with instance.running():
+            client = ServerClient(instance.config.host, instance.port)
+            seen = []
+            instance._loop.set_exception_handler(
+                lambda loop, context: seen.append(context)
+            )
+            closed_before = client.metrics()["ws_connections"]["closed"]
+            aborts = 3
+            for _ in range(aborts):
+                record = client.submit(BIG_SQL, tenant="t-drop",
+                                       target_samples=200)
+                sock = socket.create_connection(
+                    (instance.config.host, instance.port), timeout=10.0,
+                )
+                key = base64.b64encode(os.urandom(16)).decode("ascii")
+                sock.sendall((
+                    "GET /queries/%s/events HTTP/1.1\r\n"
+                    "Upgrade: websocket\r\n"
+                    "Connection: Upgrade\r\n"
+                    "Sec-WebSocket-Key: %s\r\n"
+                    "Sec-WebSocket-Version: 13\r\n\r\n"
+                    % (record["id"], key)
+                ).encode("latin-1"))
+                ServerClient._read_handshake(sock, key)
+                sock.recv(1)  # frames are flowing
+                # Abortive close: the peer sees a reset, not a FIN, while
+                # the server is still writing frames.
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                struct.pack("ii", 1, 0))
+                sock.close()
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                closed = client.metrics()["ws_connections"]["closed"]
+                if closed >= closed_before + aborts:
+                    break
+                time.sleep(0.01)
+            assert closed >= closed_before + aborts
+            gc.collect()
+            assert seen == []

@@ -1,22 +1,23 @@
-"""Columnar table views: packing rules, caching, and the list fallback.
+"""Columnar table views: packing rules and caching.
 
 The typing contract (see ``repro/storage/columnar.py``): a column becomes
 an array only when every value has *exactly* the declared Python type and
 none is NULL, so kernel arithmetic and ``tolist()`` round-trips are
 bit-identical to row-at-a-time execution.  Anything questionable stays a
-plain list.
+plain list.  The module requires NumPy (without it, engine resolution picks
+the fused engine and never builds a view), so this suite skips without it.
 """
 
 from __future__ import annotations
 
 import pytest
 
-import repro.storage.columnar as colstore
 from repro.storage import Table, schema_of
-from repro.storage.columnar import columns_for, pack_values
 from repro.storage.schema import Column, ColumnType, Schema
 
 numpy = pytest.importorskip("numpy")
+
+from repro.storage.columnar import columns_for, pack_values  # noqa: E402
 
 
 def table_of(spec, rows, name="t"):
@@ -95,14 +96,3 @@ class TestPackValues:
         packed = pack_values([1, 2], ColumnType.INT)
         assert packed.dtype == numpy.int64
         assert pack_values([1, None], ColumnType.INT) == [1, None]
-
-
-class TestListFallback:
-    def test_have_numpy_false_yields_lists(self, monkeypatch):
-        monkeypatch.setattr(colstore, "HAVE_NUMPY", False)
-        table = table_of(["k:int", "x:float"], [(1, 1.5), (2, 2.5)])
-        view = columns_for(table)
-        assert view[0] == [1, 2]
-        assert view[1] == [1.5, 2.5]
-        assert all(isinstance(column, list) for column in view)
-        assert pack_values([1, 2], None) == [1, 2]
