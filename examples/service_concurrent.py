@@ -52,12 +52,10 @@ def main() -> None:
             if handle.done or live is None:
                 cells.append("%s:%s" % (handle.name, handle.state.value))
             else:
-                # Live samples are unlabeled under the single-pass
-                # protocol (actual=None until completion) — a real
-                # progress bar shows an estimator's answer instead.
-                shown = live.actual
-                if shown is None:
-                    shown = live.estimates.get("safe", 0.0)
+                # Live samples are unlabeled (actual=None until
+                # completion) — a real progress bar shows an estimator's
+                # answer instead.
+                shown = live.estimates.get("safe", 0.0)
                 cells.append("%s:%4.1f%%" % (handle.name, shown * 100))
         print("  ".join(cells))
         time.sleep(0.1)

@@ -43,8 +43,8 @@ def run_batch(db, backend: str) -> float:
         # Handles behave identically on both backends: poll one mid-flight.
         probe = handles[0].sample() or handles[0].progress()
         if probe is not None:
-            # actual is None while the query runs (single-pass protocol:
-            # truth is labeled at completion); estimators answer live.
+            # actual is None while the query runs (truth is labeled at
+            # completion); estimators answer live.
             print("  live sample while running: curr=%d, safe=%.1f%%"
                   % (probe.curr, probe.estimates.get("safe", 0.0) * 100))
         reports = [handle.result(timeout=600) for handle in handles]

@@ -69,7 +69,6 @@ def connect(
     catalog: Optional[Catalog] = None,
     options: Optional[ExecutionOptions] = None,
     engine: Optional[str] = None,
-    protocol: Optional[str] = None,
     bounds: Optional[Sequence[str]] = None,
     target_samples: Optional[int] = None,
     max_workers: Optional[int] = None,
@@ -84,15 +83,14 @@ def connect(
     overrides layered on top of it (explicit keyword → ``options`` field →
     ``$REPRO_*`` environment variable → built-in fallback).  ``engine``
     picks the execution engine for every operation on the session
-    (fallback: the fused compiler); ``protocol`` picks the evaluation
-    protocol — ``"single_pass"`` (one execution per query, truth labeled
-    at completion) or ``"two_pass"`` (legacy oracle pre-run, eager live
-    labels).  ``bounds`` names the bound-provider stack for the runtime
-    bounds tracker — the default ``["paper2005"]`` is the paper's §5.1
-    rules alone; stacking ``"degree_seq"`` on top intersects
-    degree-sequence join bounds into every snapshot (see
-    ``docs/bounds.md``).  ``max_workers``/``queue_depth`` size the concurrent query
-    service behind :meth:`Session.submit` (started lazily on first use).
+    (fallback: the fused compiler); every instrumented run executes its
+    query once and labels truth at completion.  ``bounds`` names the
+    bound-provider stack for the runtime bounds tracker — the default
+    ``["paper2005"]`` is the paper's §5.1 rules alone; stacking
+    ``"degree_seq"`` on top intersects degree-sequence join bounds into
+    every snapshot (see ``docs/bounds.md``).
+    ``max_workers``/``queue_depth`` size the concurrent query service
+    behind :meth:`Session.submit` (started lazily on first use).
     ``backend`` picks that service's execution backend — ``"thread"``
     (fallback) or ``"process"`` for real CPU parallelism; ``start_method``
     tunes how process workers start (``"fork"``/``"spawn"``/
@@ -102,7 +100,6 @@ def connect(
         catalog=catalog,
         options=options,
         engine=engine,
-        protocol=protocol,
         bounds=bounds,
         target_samples=target_samples,
         max_workers=max_workers,
@@ -121,7 +118,6 @@ class Session:
         catalog: Optional[Catalog] = None,
         options: Optional[ExecutionOptions] = None,
         engine: Optional[str] = None,
-        protocol: Optional[str] = None,
         bounds: Optional[Sequence[str]] = None,
         target_samples: Optional[int] = None,
         max_workers: Optional[int] = None,
@@ -133,7 +129,6 @@ class Session:
         #: the session's fully resolved :class:`ExecutionOptions`
         self.options = (options or ExecutionOptions()).merged(
             engine=engine,
-            protocol=protocol,
             backend=backend,
             start_method=start_method,
             bounds=bounds,
@@ -142,7 +137,6 @@ class Session:
             queue_depth=queue_depth,
         ).resolve()
         self.engine = self.options.engine
-        self.protocol = self.options.protocol
         self.backend = self.options.backend
         self.bounds = self.options.bounds
         self.target_samples = self.options.target_samples
@@ -218,7 +212,6 @@ class Session:
         target_samples: Optional[int] = None,
         sinks: Sequence[ProgressEventSink] = (),
         engine: Optional[str] = None,
-        protocol: Optional[str] = None,
         bounds: Optional[Sequence[str]] = None,
     ) -> ProgressReport:
         """One instrumented run: execute while sampling every estimator.
@@ -243,7 +236,6 @@ class Session:
             ),
             sinks=sinks,
             engine=engine or self.engine,
-            protocol=protocol or self.protocol,
             bounds=bounds if bounds is not None else self.bounds,
         ).run()
         for estimator in toolkit:

@@ -15,10 +15,9 @@ This module implements that idea on top of the existing toolkit:
   (EWMA of squared log-ratio residuals), plus the
   :class:`~repro.core.estimators.feedback.QueryHistory` of observed totals
   that the pool's feedback candidate consumes.  Residuals can only be
-  labeled once a run's trace seals (truth is unknown mid-run under the
-  single-pass protocol), so recording happens after the fact via
-  :meth:`RobustHistory.record_run` — typically through
-  :meth:`RobustEstimator.observe_result`.
+  labeled once a run's trace seals (truth is unknown mid-run), so
+  recording happens after the fact via :meth:`RobustHistory.record_run`
+  — typically through :meth:`RobustEstimator.observe_result`.
 * :class:`RobustEstimator` — maintains the full candidate pool (dne, pmax,
   safe, hybrid-mu, hybrid-var, feedback), clamps every candidate into the
   sound interval ``[Curr/UB, Curr/LB]``, and combines them per observation

@@ -6,11 +6,10 @@ functions here are deliberately dependency-free (plain ``csv``/``json``-able
 structures).
 
 These exporters consume *sealed* traces (what :class:`ProgressReport`
-carries), which are always fully labeled: under the single-pass protocol
-``actual`` is back-filled at completion from the run's own final tick
-count, so no exported row ever has a null ``actual`` column.  Only *live*
-samples observed mid-run (service probes, live JSONL events) can carry
-``actual=None``.
+carries), which are always fully labeled: ``actual`` is back-filled at
+completion from the run's own final tick count, so no exported row ever
+has a null ``actual`` column.  Only *live* samples observed mid-run
+(service probes, live JSONL events) can carry ``actual=None``.
 """
 
 from __future__ import annotations

@@ -56,11 +56,11 @@ class TraceSample:
     ``curr`` is an integer tick count under the GetNext model but a float
     under weighted work models (bytes processed).
 
-    ``actual`` is the true progress at the sampled instant.  Under the
-    single-pass protocol truth is only known once the run finishes, so live
-    samples (those observed through a probe or service handle while the
-    query is still executing) carry ``actual=None``; sealed traces — what
-    :class:`ProgressTrace` holds — are always fully labeled.
+    ``actual`` is the true progress at the sampled instant.  Truth is only
+    known once the run finishes, so live samples (those observed through a
+    probe or service handle while the query is still executing) carry
+    ``actual=None``; sealed traces — what :class:`ProgressTrace` holds —
+    are always fully labeled.
     """
 
     curr: float

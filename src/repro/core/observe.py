@@ -93,10 +93,9 @@ class ProgressEvent:
     bound provider tightens an operator's upper bound (payload: operator,
     provider, upper bound before/after).
 
-    ``total`` and ``actual`` are ``None`` on live events under the default
-    single-pass protocol: truth is unknown until the run finishes, so only
-    ``run_end`` (and the sealed trace) carry labels.  Under ``two_pass``
-    the oracle total labels every event eagerly, as before.
+    ``total`` and ``actual`` are ``None`` on live events: truth is unknown
+    until the run finishes, so only ``run_end`` (and the sealed trace)
+    carry labels.
     """
 
     seq: int

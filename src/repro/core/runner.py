@@ -25,12 +25,11 @@ outgrows ~2× ``target_samples``, decimating already-taken samples down to
 the multiples of the new cadence.  Samples forced by pipeline-boundary
 transitions and the terminal sample are pinned and never decimated.
 
-``protocol="two_pass"`` (env ``$REPRO_PROTOCOL``) keeps the legacy
-behaviour reachable: an oracle pre-run measures ``total(Q)`` first, so live
-events and probes carry eager truth labels.  Both protocols share the same
-sampling policy and seal traces from the same end-of-run counters, so their
-sealed traces are bit-identical — the differential suite in
-``tests/core/test_protocols.py`` holds them to that.
+Every instrumented run therefore executes the plan exactly once.  The
+invariant suite in ``tests/core/test_protocols.py`` holds each sealed
+total to an independent bare run
+(:func:`~repro.engine.executor.measure_total_work`) and each sealed trace
+to bit-identity across engines and service backends.
 
 The instrumented run is wired for efficiency and observability: the
 :class:`~repro.core.bounds.BoundsTracker` is attached to the monitor's event
@@ -44,11 +43,9 @@ pipeline-boundary hook, every estimator call is wall-time profiled into a
 
 from __future__ import annotations
 
-import threading
 import time
-import weakref
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.bounds import BoundsTracker
 from repro.core.estimators.base import Observation, ProgressEstimator
@@ -63,72 +60,20 @@ from repro.core.observe import (
     emit_to_all,
 )
 from repro.core.pipelines import Pipeline, decompose
-from repro.engine.executor import (
-    _engine_choice,
-    measure_total_work,
-    pipeline_boundary_operators,
-)
+from repro.engine.executor import _engine_choice, pipeline_boundary_operators
 from repro.engine.monitor import EVENT_TICK, ExecutionMonitor
 from repro.engine.operators.base import ExecutionContext
 from repro.engine.plan import Plan
 from repro.errors import ProgressError
-from repro.options import PROTOCOLS, ExecutionOptions
+from repro.options import ExecutionOptions
 from repro.stats.estimate import CardinalityEstimator
 from repro.storage.catalog import Catalog
-
-
-def _protocol_choice(protocol: Optional[str]) -> str:
-    """Internal resolution: explicit value → ``$REPRO_PROTOCOL`` → single_pass."""
-    return ExecutionOptions(protocol=protocol).resolve().protocol
-
-
-#: oracle ``total(Q)`` per plan object, for the two_pass compat path —
-#: measuring it runs the whole query, so tracing N estimators (or N runs)
-#: over one plan should pay that price once.  Keyed weakly: a collected plan
-#: drops its entry.  Totals do not depend on the engine or on scan order (a
-#: reshuffling RandomOrderScan changes row order, never row counts), so one
-#: entry serves every run.
-_TOTAL_WORK_CACHE: "weakref.WeakKeyDictionary[Plan, int]" = (
-    weakref.WeakKeyDictionary()
-)
-#: serializes cache access — service workers consult it concurrently
-_TOTAL_WORK_LOCK = threading.Lock()
-
-
-def _cached_total_work(
-    plan: Plan,
-    engine: Optional[str] = None,
-    *,
-    monitor_factory: Optional[Callable[[], ExecutionMonitor]] = None,
-) -> int:
-    """``measure_total_work`` with a per-plan-object memo.
-
-    ``monitor_factory`` supplies the private oracle monitor (the service
-    passes one that checks cancellation/deadlines on every record).  The
-    measurement itself runs outside the lock — concurrent first callers may
-    both measure, but the result is deterministic so last-write-wins is
-    harmless, and a query-length critical section would serialize the
-    service's workers.
-    """
-    with _TOTAL_WORK_LOCK:
-        try:
-            return _TOTAL_WORK_CACHE[plan]
-        except (KeyError, TypeError):
-            pass
-    monitor = monitor_factory() if monitor_factory is not None else None
-    total = measure_total_work(plan, engine=engine, monitor=monitor)
-    with _TOTAL_WORK_LOCK:
-        try:
-            _TOTAL_WORK_CACHE[plan] = total
-        except TypeError:
-            pass
-    return total
 
 
 class TraceBuilder:
     """Accumulates raw samples during a run; labels truth at seal time.
 
-    The builder is the single-pass protocol's answer to "how do you sample
+    The builder is the runner's answer to "how do you sample
     ~``target_samples`` evenly when total work is unknown?": it starts at a
     cadence seeded from the static lower bound on ``total(Q)`` and, every
     time the retained unpinned samples exceed ``2 × target_samples``,
@@ -230,13 +175,11 @@ class RunnerProbe:
     Handed to the ``on_probe`` hook just before execution begins.  A probe
     can assemble a :class:`TraceSample` *on demand* — outside the runner's
     cadence — from the incremental bounds tracker and a toolkit of
-    estimators.  Under the single-pass protocol ``total`` is None (truth is
-    unknown mid-run) and live samples carry ``actual=None``; under
-    ``two_pass`` the oracle total labels them eagerly.  The probe performs
-    no locking itself: it touches the same tracker memo the executor's
-    cadence observer mutates, so cross-thread callers must hold whatever
-    lock serializes the monitor (the query service scopes both paths under
-    its monitor's lock).
+    estimators.  Truth is unknown mid-run, so live samples carry
+    ``actual=None``.  The probe performs no locking itself: it touches the
+    same tracker memo the executor's cadence observer mutates, so
+    cross-thread callers must hold whatever lock serializes the monitor (the
+    query service scopes both paths under its monitor's lock).
     """
 
     def __init__(
@@ -247,7 +190,6 @@ class RunnerProbe:
         pipelines: List[Pipeline],
         estimates,
         estimators: Sequence[ProgressEstimator],
-        total: Optional[float],
         weighted,
         leaf_consumed: List[int],
     ) -> None:
@@ -257,7 +199,6 @@ class RunnerProbe:
         self.pipelines = pipelines
         self.estimates = estimates
         self.estimators = list(estimators)
-        self.total = total
         self._weighted = weighted
         self._leaf_consumed = leaf_consumed
 
@@ -280,15 +221,9 @@ class RunnerProbe:
             estimator.name: estimator.estimate(observation)
             for estimator in self.estimators
         }
-        if self.total is None:
-            actual: Optional[float] = None
-        elif self.total:
-            actual = min(curr / self.total, 1.0)
-        else:
-            actual = 1.0
         return TraceSample(
             curr=curr,
-            actual=actual,
+            actual=None,
             estimates=values,
             lower_bound=observation.bounds.lower,
             upper_bound=observation.bounds.upper,
@@ -317,7 +252,6 @@ class ProgressRunner:
         monitor_factory: Optional[Callable[[], ExecutionMonitor]] = None,
         on_probe: Optional[Callable[["RunnerProbe"], None]] = None,
         probe_estimators: Optional[Sequence[ProgressEstimator]] = None,
-        protocol: Optional[str] = None,
         bounds: Optional[Sequence[str]] = None,
     ) -> None:
         if not estimators:
@@ -333,13 +267,12 @@ class ProgressRunner:
         self.sinks = list(sinks)
         self.clock = clock
         self.engine = _engine_choice(engine)
-        self.protocol = _protocol_choice(protocol)
         #: bound-provider stack for the runtime bounds tracker; None and
         #: $REPRO_BOUNDS resolution both happen in options.py
         self.bounds = ExecutionOptions(bounds=bounds).resolve().bounds
-        #: builds every monitor this runner uses (instrumented, plus the
-        #: oracle pass under two_pass); the service injects one whose
-        #: record/record_batch check cancellation and deadlines under a lock
+        #: builds the one monitor each run uses; the service injects one
+        #: whose record/record_batch check cancellation and deadlines under
+        #: a lock
         self.monitor_factory = monitor_factory or ExecutionMonitor
         #: called with a :class:`RunnerProbe` right before execution starts
         self.on_probe = on_probe
@@ -355,21 +288,6 @@ class ProgressRunner:
 
             weighted = WeightedWork(self.plan, self.work_model)
 
-        # Truth known *during* the run only under two_pass, where an oracle
-        # pre-run measures it; it labels live events and probes eagerly.
-        # The sealed trace never depends on it — both protocols label at
-        # seal time from the run's own final counters, which is what keeps
-        # their traces bit-identical.
-        live_total: Optional[float] = None
-        if self.protocol == "two_pass":
-            oracle_ticks = _cached_total_work(
-                self.plan, engine=self.engine,
-                monitor_factory=self.monitor_factory,
-            )
-            live_total = float(oracle_ticks)
-            if weighted is not None:
-                live_total = weighted.total()
-
         estimates = (
             CardinalityEstimator(self.catalog).estimate_plan(self.plan)
             if self.catalog is not None
@@ -383,7 +301,7 @@ class ProgressRunner:
         for estimator in self.estimators:
             estimator.prepare(self.plan)
 
-        # Both protocols share one oracle-free sampling policy: the initial
+        # Total work is unknown until the run ends, so the initial
         # cadence comes from the static lower bound on total(Q) (the
         # scanned input cardinality — µ's denominator, a catalog quantity)
         # and adapts geometrically as the run outgrows it.
@@ -521,12 +439,9 @@ class ProgressRunner:
                 profile.profile_for(estimator.name).record(
                     clock() - call_started
                 )
-            if final:
-                actual: Optional[float] = 1.0
-            elif live_total is not None:
-                actual = min(curr / live_total, 1.0) if live_total else 1.0
-            else:
-                actual = None
+            # Truth is labeled at seal time; only the terminal instant is
+            # known (progress 1 by definition) while the run is live.
+            actual: Optional[float] = 1.0 if final else None
             raw = TraceSample(
                 curr=curr,
                 actual=actual,
@@ -560,7 +475,6 @@ class ProgressRunner:
                         PipelineSnapshot.capture(pipeline, estimates)
                         for pipeline in pipelines
                     ),
-                    event_total=live_total,
                     payload=payload,
                 )
             profile.sample_seconds += clock() - sample_started
@@ -578,9 +492,9 @@ class ProgressRunner:
                     estimator.prepare(self.plan)
             self.on_probe(RunnerProbe(
                 self.plan, monitor, tracker, pipelines, estimates,
-                probe_estimators, live_total, weighted, leaf_consumed,
+                probe_estimators, weighted, leaf_consumed,
             ))
-        emit("run_start", 0.0, 0.0, {}, 0.0, 0.0, event_total=live_total)
+        emit("run_start", 0.0, 0.0, {}, 0.0, 0.0)
         context = ExecutionContext(monitor)
         try:
             if self.engine == "fused":
@@ -612,8 +526,7 @@ class ProgressRunner:
             tracker.detach()
             monitor.remove_batch_listener(on_tick)
         # The run is complete: its own counters are the oracle.  Truth
-        # labels, total(Q), and µ all come from these end-of-run quantities
-        # under *both* protocols.
+        # labels, total(Q), and µ all come from these end-of-run quantities.
         final_ticks = monitor.total_ticks
         total: float = (
             weighted.current() if weighted is not None else float(final_ticks)
@@ -641,11 +554,10 @@ def run_with_estimators(
     target_samples: int = 200,
     sinks: Sequence[ProgressEventSink] = (),
     engine: Optional[str] = None,
-    protocol: Optional[str] = None,
     bounds: Optional[Sequence[str]] = None,
 ) -> ProgressReport:
     """One-call convenience wrapper around :class:`ProgressRunner`."""
     return ProgressRunner(
         plan, estimators, catalog, target_samples, sinks=sinks, engine=engine,
-        protocol=protocol, bounds=bounds,
+        bounds=bounds,
     ).run()

@@ -97,8 +97,6 @@ def execute(
 def measure_total_work(
     plan: Plan,
     engine: Optional[str] = None,
-    *,
-    monitor: Optional[ExecutionMonitor] = None,
 ) -> int:
     """``total(Q)``: the exact number of counted getnext calls for ``plan``.
 
@@ -106,22 +104,14 @@ def measure_total_work(
     progress estimator is *not* allowed to precompute (it would require
     running the query, §2.4); it exists for evaluation only.
 
-    This survives as the explicit standalone oracle API: the default
-    single-pass evaluation protocol never calls it (truth is labeled from
-    the instrumented run's own final tick count), and the legacy
-    ``protocol="two_pass"`` escape hatch routes through it for its oracle
-    pre-run.  Call it directly when you want ``total(Q)`` without an
-    instrumented run.
-
-    Pipeline boundaries are marked exactly as :func:`execute` marks them, so
-    an observer attached to the private monitor (none by default) would see
-    the same boundary-forced rounds on either entry point.  ``monitor``
-    substitutes the private monitor — the query service passes one whose
-    ``record`` checks cancellation and deadlines, so even the oracle phase
-    of an instrumented run stays responsive.
+    The instrumented runner never calls it — truth is labeled from the
+    instrumented run's own final tick count — so this is the independent
+    bare-run reference: call it when you want ``total(Q)`` without an
+    instrumented run.  Pipeline boundaries are marked exactly as
+    :func:`execute` marks them.
     """
     engine = _engine_choice(engine)
-    context = ExecutionContext(monitor or ExecutionMonitor())
+    context = ExecutionContext(ExecutionMonitor())
     context.monitor.mark_pipeline_boundaries(pipeline_boundary_operators(plan))
     if engine == "fused":
         from repro.engine.compiled import run_fused

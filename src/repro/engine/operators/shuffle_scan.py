@@ -27,9 +27,10 @@ class RandomOrderScan(TableScan):
 
     The permutation is fixed per seed, so runs stay reproducible; with
     ``reshuffle=True`` every fresh ``open`` draws a new permutation (the
-    online-aggregation setting wants a new sample order per run — note the
-    progress runner's oracle pass and trace pass then see different orders,
-    which is fine: ``total(Q)`` does not depend on scan order).
+    online-aggregation setting wants a new sample order per run — note a
+    bare :func:`~repro.engine.executor.measure_total_work` run and an
+    instrumented run then see different orders, which is fine:
+    ``total(Q)`` does not depend on scan order).
     """
 
     def __init__(self, table: Table, seed: int = 0,

@@ -32,11 +32,6 @@ from repro.errors import (
 #: needs NumPy and resolves to ``"fused"`` where NumPy cannot be imported.
 ENGINES = ("fused", "interpreted", "columnar")
 
-#: the evaluation protocols (see ``docs/api.md``): ``single_pass`` executes
-#: once and labels truth at completion, ``two_pass`` keeps the legacy
-#: oracle pre-run for eager live labels
-PROTOCOLS = ("single_pass", "two_pass")
-
 #: the query-service execution backends: GIL-shared worker threads, or
 #: worker processes for real multi-core parallelism
 BACKENDS = ("thread", "process")
@@ -51,7 +46,6 @@ DEFAULT_BOUNDS = ("paper2005",)
 
 _FALLBACKS = {
     "engine": "fused",
-    "protocol": "single_pass",
     "backend": "thread",
 }
 
@@ -99,7 +93,6 @@ class ExecutionOptions:
     field                     environment variable     fallback
     ========================  =======================  ==================
     ``engine``                ``REPRO_ENGINE``         ``"fused"``
-    ``protocol``              ``REPRO_PROTOCOL``       ``"single_pass"``
     ``backend``               ``REPRO_BACKEND``        ``"thread"``
     ``start_method``          ``REPRO_START_METHOD``   ``fork``/``spawn``
     ``bounds``                ``REPRO_BOUNDS``         ``("paper2005",)``
@@ -117,7 +110,6 @@ class ExecutionOptions:
     """
 
     engine: Optional[str] = None
-    protocol: Optional[str] = None
     backend: Optional[str] = None
     start_method: Optional[str] = None
     bounds: Optional[Union[Tuple[str, ...], Sequence[str]]] = None
@@ -164,15 +156,6 @@ class ExecutionOptions:
             # The columnar engine needs NumPy; without it the fused engine
             # is the fastest one left.
             engine = "fused"
-        protocol = (
-            self.protocol or self._env("REPRO_PROTOCOL")
-            or _FALLBACKS["protocol"]
-        )
-        if protocol not in PROTOCOLS:
-            raise ProgressError(
-                "unknown protocol %r (expected one of %s)"
-                % (protocol, list(PROTOCOLS))
-            )
         backend = (
             self.backend or self._env("REPRO_BACKEND") or _FALLBACKS["backend"]
         )
@@ -223,7 +206,6 @@ class ExecutionOptions:
             raise ServiceError("queue_depth must be >= 1")
         return ExecutionOptions(
             engine=engine,
-            protocol=protocol,
             backend=backend,
             start_method=start_method,
             bounds=bounds,

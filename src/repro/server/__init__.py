@@ -3,10 +3,10 @@
 An asyncio network tier over the :mod:`repro.api` facade: HTTP admission
 (``POST /queries``), status and cooperative cancel, a WebSocket per query
 streaming live :class:`~repro.core.observe.ProgressEvent` samples (truth
-back-filled at completion, per the single-pass protocol), per-tenant
-admission quotas with deficit-round-robin fair dispatch, and a
-``/metrics`` endpoint.  Pure standard library; ``uvloop``/``websockets``
-are optional accelerators picked up via :mod:`repro.server.compat`.
+back-filled at completion), per-tenant admission quotas with
+deficit-round-robin fair dispatch, and a ``/metrics`` endpoint.  Pure
+standard library; ``uvloop``/``websockets`` are optional accelerators
+picked up via :mod:`repro.server.compat`.
 
 The server consumes the facade surface only — ``ExecutionOptions``,
 ``QueryService``, progress sinks — never engine internals, which is what

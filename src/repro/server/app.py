@@ -49,9 +49,13 @@ from repro.service.service import QueryService
 _REASONS = {
     200: "OK", 201: "Created", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 408: "Request Timeout",
-    413: "Payload Too Large", 429: "Too Many Requests",
-    500: "Internal Server Error",
+    413: "Payload Too Large", 414: "URI Too Long", 429: "Too Many Requests",
+    431: "Request Header Fields Too Large", 500: "Internal Server Error",
 }
+
+#: most header lines one request may carry (``http.client``'s own limit);
+#: a line longer than the ``StreamReader`` buffer limit is refused too
+MAX_HEADERS = 100
 
 
 class _RequestError(Exception):
@@ -226,7 +230,10 @@ class ReproServer:
     async def _read_request(
         self, reader: asyncio.StreamReader,
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-        line = await reader.readline()
+        try:
+            line = await reader.readline()
+        except ValueError:  # longer than the StreamReader buffer limit
+            raise _RequestError(414, "request line too long") from None
         if not line.strip():
             return None
         try:
@@ -234,12 +241,18 @@ class ReproServer:
         except ValueError:
             raise _RequestError(400, "malformed request line") from None
         headers: Dict[str, str] = {}
-        while True:
-            header = await reader.readline()
+        for _ in range(MAX_HEADERS + 1):
+            try:
+                header = await reader.readline()
+            except ValueError:
+                raise _RequestError(431, "header line too long") from None
             if header in (b"\r\n", b"\n", b""):
                 break
             name, _, value = header.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
+        else:
+            raise _RequestError(431, "more than %d header lines"
+                                % MAX_HEADERS)
         raw_length = headers.get("content-length", "0") or "0"
         # 1*DIGIT only: no sign, so a negative length never reaches
         # readexactly.
@@ -419,8 +432,15 @@ class ReproServer:
         while True:
             try:
                 opcode, payload, _fin = await wsproto.read_frame_async(
-                    reader.readexactly,
+                    reader.readexactly, wsproto.MAX_CONTROL_PAYLOAD,
                 )
+            except wsproto.FrameTooLarge as exc:
+                with contextlib.suppress(Exception):
+                    writer.write(wsproto.encode_close(
+                        wsproto.CLOSE_TOO_BIG, str(exc),
+                    ))
+                    await writer.drain()
+                return
             except (asyncio.IncompleteReadError, wsproto.WebSocketError,
                     ConnectionError):
                 return

@@ -138,7 +138,7 @@ def terminal_frame(scheduled) -> Dict[str, object]:
 
     The trace rides along so a client can verify bit-identity against a
     solo in-process run without a second HTTP round trip; ``actual`` labels
-    are the back-filled truth of the single-pass protocol.
+    are the truth back-filled at completion.
     """
     handle = scheduled.handle
     frame: Dict[str, object] = {

@@ -9,8 +9,9 @@ the event stream needs (close, ping/pong).
 
 Framing is transport-agnostic: :func:`encode_frame` returns bytes, and
 :func:`read_frame` pulls from any ``read_exact(n) -> bytes`` callable, so
-the same code serves a blocking socket client and the asyncio server (which
-wraps ``StreamReader.readexactly``).
+the same parser serves a blocking socket client and the asyncio server (which
+wraps ``StreamReader.readexactly``).  The server caps client frames at the
+control-frame limit; the client reads the server's frames uncapped.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import base64
 import hashlib
 import os
 import struct
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 #: the protocol's fixed handshake GUID (RFC 6455 §1.3)
 GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
@@ -75,51 +76,84 @@ def encode_close(code: int = 1000, reason: str = "", *,
     return encode_frame(payload, OP_CLOSE, mask=mask)
 
 
-def read_frame(read_exact: Callable[[int], bytes]) -> Tuple[int, bytes, bool]:
+#: RFC 6455 §5.5: a control frame carries at most 125 payload bytes.  The
+#: server only acts on client close and ping frames, so it refuses any
+#: client frame declaring more than this.
+MAX_CONTROL_PAYLOAD = 125
+
+#: close code for a frame too big to process (RFC 6455 §7.4.1)
+CLOSE_TOO_BIG = 1009
+
+
+class FrameTooLarge(WebSocketError):
+    """A frame declared a payload above the reader's cap.
+
+    Raised after the header, before any payload byte is read; the server
+    answers it with a :data:`CLOSE_TOO_BIG` close frame.
+    """
+
+
+def _parse_frame(max_payload: Optional[int]):
+    """Sans-I/O frame parser behind both readers.
+
+    A generator that yields how many bytes it needs next, must be sent
+    exactly that many, and returns ``(opcode, unmasked payload, fin)``.
+    """
+    first, second = yield 2
+    fin = bool(first & 0x80)
+    if first & 0x70:
+        raise WebSocketError("reserved frame bits set")
+    opcode = first & 0x0F
+    masked = bool(second & 0x80)
+    length = second & 0x7F
+    if length == 126:
+        (length,) = struct.unpack(">H", (yield 2))
+    elif length == 127:
+        (length,) = struct.unpack(">Q", (yield 8))
+    if max_payload is not None and length > max_payload:
+        raise FrameTooLarge(
+            "frame declares %d payload bytes (limit %d)"
+            % (length, max_payload)
+        )
+    key = (yield 4) if masked else None
+    payload = (yield length) if length else b""
+    if key is not None:
+        payload = bytes(b ^ key[i % 4] for i, b in enumerate(payload))
+    return opcode, payload, fin
+
+
+def read_frame(
+    read_exact: Callable[[int], bytes],
+    max_payload: Optional[int] = None,
+) -> Tuple[int, bytes, bool]:
     """Parse one frame: ``(opcode, unmasked payload, fin)``.
 
     ``read_exact(n)`` must return exactly ``n`` bytes or raise (EOF).
     Fragmented messages surface as ``fin=False`` continuation frames; the
     event stream only ever sends whole frames, so callers may treat a
-    fragment as a protocol error.
+    fragment as a protocol error.  A frame declaring more than
+    ``max_payload`` bytes raises :class:`FrameTooLarge` unread.
     """
-    first, second = read_exact(2)
-    fin = bool(first & 0x80)
-    if first & 0x70:
-        raise WebSocketError("reserved frame bits set")
-    opcode = first & 0x0F
-    masked = bool(second & 0x80)
-    length = second & 0x7F
-    if length == 126:
-        (length,) = struct.unpack(">H", read_exact(2))
-    elif length == 127:
-        (length,) = struct.unpack(">Q", read_exact(8))
-    key = read_exact(4) if masked else None
-    payload = read_exact(length) if length else b""
-    if key is not None:
-        payload = bytes(b ^ key[i % 4] for i, b in enumerate(payload))
-    return opcode, payload, fin
+    parser = _parse_frame(max_payload)
+    try:
+        count = next(parser)
+        while True:
+            count = parser.send(read_exact(count))
+    except StopIteration as done:
+        return done.value
 
 
-async def read_frame_async(read_exactly) -> Tuple[int, bytes, bool]:
+async def read_frame_async(
+    read_exactly, max_payload: Optional[int] = None,
+) -> Tuple[int, bytes, bool]:
     """:func:`read_frame` over an awaitable ``read_exactly(n)`` (asyncio)."""
-    first_two = await read_exactly(2)
-    first, second = first_two
-    fin = bool(first & 0x80)
-    if first & 0x70:
-        raise WebSocketError("reserved frame bits set")
-    opcode = first & 0x0F
-    masked = bool(second & 0x80)
-    length = second & 0x7F
-    if length == 126:
-        (length,) = struct.unpack(">H", await read_exactly(2))
-    elif length == 127:
-        (length,) = struct.unpack(">Q", await read_exactly(8))
-    key = await read_exactly(4) if masked else None
-    payload = await read_exactly(length) if length else b""
-    if key is not None:
-        payload = bytes(b ^ key[i % 4] for i, b in enumerate(payload))
-    return opcode, payload, fin
+    parser = _parse_frame(max_payload)
+    try:
+        count = next(parser)
+        while True:
+            count = parser.send(await read_exactly(count))
+    except StopIteration as done:
+        return done.value
 
 
 def reader_from_socket(sock) -> Callable[[int], bytes]:

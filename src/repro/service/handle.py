@@ -15,9 +15,9 @@ on an event that fires at that transition.  Progress is exposed two ways:
   the executor so the incremental bounds tracker and the estimator toolkit
   are never raced (see ``repro.service.monitor``).
 
-Under the default single-pass protocol truth is labeled at completion, so
-samples observed *while the query runs* carry ``actual=None`` (estimator
-answers and bounds are live; the true-progress label does not exist yet).
+Truth is labeled at completion, so samples observed *while the query
+runs* carry ``actual=None`` (estimator answers and bounds are live; the
+true-progress label does not exist yet).
 Once the handle is DONE, :meth:`progress` answers the sealed trace's fully
 labeled final sample.
 """
@@ -180,8 +180,8 @@ class QueryHandle:
         Each returned sample matches — estimator answer for estimator
         answer — what a single-threaded run of the same plan observes at
         the same tick instant; while the query runs, ``actual`` is None
-        (single-pass protocol: truth is back-filled at completion).  After
-        DONE this answers the sealed trace's labeled final sample.
+        (truth is back-filled at completion).  After DONE this answers the
+        sealed trace's labeled final sample.
         """
         return self._latest
 

@@ -39,10 +39,8 @@ class ServiceExecutionMonitor(ExecutionMonitor):
     handle asks for it, and serializes all recording (plus the observer
     rounds it triggers) under :attr:`lock`.
 
-    Under the default single-pass protocol each query has exactly one
-    monitored execution, so this is the *only* place control is checked;
-    under ``protocol="two_pass"`` the runner builds a second monitor of the
-    same class for the oracle pre-run, which is therefore cancellable too.
+    Each query has exactly one monitored execution, so this is the *only*
+    place control is checked.
     """
 
     def __init__(

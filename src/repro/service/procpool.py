@@ -4,11 +4,9 @@ The thread backend gives :class:`~repro.service.service.QueryService`
 concurrency but — the engine being pure Python — zero parallelism: the GIL
 serializes every tick, so eight in-flight queries share one core.  This
 module supplies ``backend="process"``: a pool of long-lived worker
-*processes*, each running the exact single-pass instrumented execution the
-thread backend runs (one monitored pass per query, truth labeled at seal
-time — no oracle pre-run crosses the wire, roughly halving per-query worker
-time versus the legacy two-pass protocol), with every observable behaving
-identically at the parent:
+*processes*, each running the exact instrumented execution the thread
+backend runs (one monitored pass per query, truth labeled at seal time),
+with every observable behaving identically at the parent:
 
 * **catalog** — workers forked from the parent inherit the catalog for
   free; under ``spawn``/``forkserver`` (where nothing is inherited) the
@@ -182,7 +180,6 @@ class _ExecuteRequest:
     deadline_seconds: Optional[float]
     target_samples: int
     engine: str
-    protocol: str
     bounds: Tuple[str, ...]
 
 
@@ -295,9 +292,9 @@ class _ProbeServer:
     :meth:`maybe_serve` on every control check, notices the counter moved,
     takes a lock-scoped :meth:`~repro.core.runner.RunnerProbe.live_sample`
     and ships it back tagged with the counter value.  Before the probe
-    attaches — runner setup, or the two_pass protocol's oracle pre-run —
-    it answers ``None`` immediately so the parent's ``sample()`` never
-    blocks on a phase that cannot sample."""
+    attaches — during runner setup — it answers ``None`` immediately so
+    the parent's ``sample()`` never blocks on a phase that cannot
+    sample."""
 
     def __init__(self, conn, query_id: int, flag) -> None:
         self.conn = conn
@@ -317,10 +314,6 @@ class _ProbeServer:
         if probe is None:
             self._served = request
             self.conn.send(("probe", self.query_id, request, None))
-            return
-        if probe.monitor is not monitor:
-            # The oracle monitor outlives on_probe only transiently; let
-            # the instrumented monitor answer.
             return
         with monitor.lock:
             sample = probe.live_sample()
@@ -386,7 +379,6 @@ def _serve_request(conn, catalog, toolkit_factory, cancel_flag, probe_flag,
                 kinds=("sample",),
             ),),
             engine=request.engine,
-            protocol=request.protocol,
             bounds=request.bounds,
             monitor_factory=lambda: _WorkerMonitor(shim, probe_server),
             on_probe=probe_server.attach,
@@ -569,7 +561,6 @@ class _WorkerSlot:
                 deadline_seconds=handle.deadline_seconds,
                 target_samples=handle._target_samples,
                 engine=service.engine,
-                protocol=service.protocol,
                 bounds=service.bounds,
             )
             try:

@@ -10,14 +10,12 @@ queries in flight, each observable while it runs.
   period, caller's choice.  A plan *object* can be in flight at most once
   (operators hold runtime state), and SQL text is planned at admission.
 * **Execution** — each worker drives the standard instrumented runner
-  under the single-pass protocol (one monitored execution per query, truth
-  labeled at completion — identical to a solo
-  :class:`~repro.core.runner.ProgressRunner` run), so a completed query's
-  trace is bit-identical to its single-threaded trace.  The runner's
-  monitors are :class:`~repro.service.monitor.ServiceExecutionMonitor`\\ s:
-  cancellation and deadlines are honoured at tick-batch boundaries — in
-  one place, since there is only one pass (``protocol="two_pass"`` keeps
-  the legacy oracle pre-run reachable; it is control-checked too).
+  (one monitored execution per query, truth labeled at completion —
+  identical to a solo :class:`~repro.core.runner.ProgressRunner` run), so
+  a completed query's trace is bit-identical to its single-threaded trace.
+  The runner's monitor is a
+  :class:`~repro.service.monitor.ServiceExecutionMonitor`: cancellation and
+  deadlines are honoured at tick-batch boundaries of that one pass.
 * **Backends** — ``backend="thread"`` (default) runs queries on in-process
   worker threads: concurrent, but GIL-serialized.  ``backend="process"``
   runs each query in a worker *process* (see
@@ -85,7 +83,6 @@ class QueryService:
         queue_depth: Optional[int] = None,
         toolkit_factory: Callable[[], List[ProgressEstimator]] = standard_toolkit,
         engine: Optional[str] = None,
-        protocol: Optional[str] = None,
         bounds: Optional[Sequence[str]] = None,
         backend: Optional[str] = None,
         start_method: Optional[str] = None,
@@ -103,7 +100,6 @@ class QueryService:
         # object, which beats $REPRO_* and the built-in fallbacks.
         self.options = (options or ExecutionOptions()).merged(
             engine=engine,
-            protocol=protocol,
             bounds=bounds,
             backend=backend,
             start_method=start_method,
@@ -114,7 +110,6 @@ class QueryService:
         self.catalog = catalog
         self.toolkit_factory = toolkit_factory
         self.engine = self.options.engine
-        self.protocol = self.options.protocol
         self.bounds = self.options.bounds
         self.backend = self.options.backend
         #: how spawn-started workers re-open the catalog; None means "ship
@@ -340,7 +335,6 @@ class QueryService:
                 target_samples=handle._target_samples,
                 sinks=tuple(runner_sinks),
                 engine=self.engine,
-                protocol=self.protocol,
                 bounds=self.bounds,
                 monitor_factory=lambda: ServiceExecutionMonitor(
                     handle, self._clock
@@ -474,8 +468,8 @@ class _HandleSink(ProgressEventSink):
 
     The estimates dict an event carries *is* the dict the trace's sample at
     the same instant holds, so handle-published samples match trace entries
-    by construction — except for the label: under the single-pass protocol
-    live samples carry ``actual=None`` (truth is back-filled at seal time),
+    by construction — except for the label: live samples carry
+    ``actual=None`` (truth is back-filled at seal time),
     and the runner's adaptive cadence may later decimate some published
     instants out of the sealed trace.  On DONE the handle republishes the
     labeled final sample.

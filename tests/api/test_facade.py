@@ -4,7 +4,7 @@ Two contracts are pinned here: the README quickstart runs **verbatim**
 through the facade, and the facade stays warning-free.  The deprecation
 shims the stability policy kept for one minor release (``DEFAULT_ENGINE``
 and the per-knob ``resolve_*``/``default_*`` resolvers) are gone since
-1.2.0.
+1.2.0, and the evaluation-protocol option is gone since 1.3.0.
 """
 
 from __future__ import annotations
@@ -165,6 +165,46 @@ class TestDeprecationShims:
     ])
     def test_shims_removed_in_1_2_0(self, module, name):
         assert not hasattr(importlib.import_module(module), name)
+
+    @pytest.mark.parametrize("module,fragment", [
+        ("repro.options", "protocol"),
+        ("repro.core", "protocol"),
+        ("repro.core.runner", "protocol"),
+        ("repro.core.runner", "total_work"),
+    ])
+    def test_protocol_surface_removed_in_1_3_0(self, module, fragment):
+        # Matched by fragment so every spelling of the removed evaluation
+        # protocol option (the choice tuple, the resolver, the oracle-total
+        # cache and its lock) is covered at once.
+        names = [
+            name for name in dir(importlib.import_module(module))
+            if fragment in name.lower()
+        ]
+        assert names == []
+
+    def test_protocol_keyword_raises_type_error(self):
+        from repro.core import DneEstimator, ProgressRunner
+        from repro.service import QueryService
+
+        with pytest.raises(TypeError):
+            ExecutionOptions(protocol="single_pass")
+        with pytest.raises(TypeError):
+            repro.connect(catalog=small_catalog(), protocol="single_pass")
+        with repro.connect(catalog=small_catalog()) as session:
+            plan = session.sql("SELECT COUNT(*) FROM t")
+        with pytest.raises(TypeError):
+            ProgressRunner(plan, [DneEstimator()], protocol="single_pass")
+        with pytest.raises(TypeError):
+            QueryService(small_catalog(), protocol="single_pass")
+
+    def test_cli_protocol_flag_is_an_argparse_error(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sql", "--scale", "0.0003", "--protocol", "single_pass",
+                  "SELECT COUNT(*) FROM nation"])
+        assert exit_info.value.code == 2
+        assert "--protocol" in capsys.readouterr().err
 
     def test_version_has_one_source(self):
         setup_py = README.parent / "setup.py"

@@ -20,19 +20,16 @@ from repro.options import (
     DEFAULT_QUEUE_DEPTH,
     DEFAULT_TARGET_SAMPLES,
     ENGINES,
-    PROTOCOLS,
     ExecutionOptions,
 )
 
 
 class TestDefaults:
     def test_fallbacks(self, monkeypatch):
-        for var in ("REPRO_ENGINE", "REPRO_PROTOCOL", "REPRO_BACKEND",
-                    "REPRO_START_METHOD"):
+        for var in ("REPRO_ENGINE", "REPRO_BACKEND", "REPRO_START_METHOD"):
             monkeypatch.delenv(var, raising=False)
         resolved = ExecutionOptions().resolve()
         assert resolved.engine == "fused"
-        assert resolved.protocol == "single_pass"
         assert resolved.backend == "thread"
         assert resolved.start_method in \
             multiprocessing.get_all_start_methods()
@@ -57,11 +54,9 @@ class TestDefaults:
 class TestEnvironment:
     def test_env_fills_unset_fields(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "columnar")
-        monkeypatch.setenv("REPRO_PROTOCOL", "two_pass")
         monkeypatch.setenv("REPRO_BACKEND", "process")
         resolved = ExecutionOptions().resolve()
         assert resolved.engine == "columnar"
-        assert resolved.protocol == "two_pass"
         assert resolved.backend == "process"
 
     def test_explicit_value_beats_env(self, monkeypatch):
@@ -91,8 +86,9 @@ class TestValidation:
             ExecutionOptions(engine="warp").resolve()
 
     def test_unknown_protocol(self):
-        with pytest.raises(ProgressError, match="three_pass"):
-            ExecutionOptions(protocol="three_pass").resolve()
+        # The evaluation-protocol option is gone: the keyword is unknown.
+        with pytest.raises(TypeError):
+            ExecutionOptions(protocol="single_pass")
 
     def test_unknown_start_method(self):
         with pytest.raises(ServiceError, match="teleport"):
@@ -106,7 +102,6 @@ class TestValidation:
 
     def test_choice_tuples_are_the_single_source(self):
         assert "fused" in ENGINES
-        assert "single_pass" in PROTOCOLS
         assert BACKENDS == ("thread", "process")
 
 
@@ -114,11 +109,11 @@ class TestMerging:
     def test_merged_overrides_non_none(self):
         base = ExecutionOptions(engine="fused", max_workers=2)
         merged = base.merged(engine="columnar", queue_depth=8,
-                             protocol=None)
+                             backend=None)
         assert merged.engine == "columnar"
         assert merged.max_workers == 2
         assert merged.queue_depth == 8
-        assert merged.protocol is None
+        assert merged.backend is None
 
     def test_merged_with_nothing_returns_self(self):
         base = ExecutionOptions(engine="fused")

@@ -1,8 +1,8 @@
 """Soundness differential suite for the bound-provider stack.
 
 The §5.1 invariant ``Curr ≤ LB ≤ total(Q) ≤ UB`` must hold at every
-sampled instant for **every** provider combination, on every engine, under
-both evaluation protocols — an unsound overlay cap would silently poison
+sampled instant for **every** provider combination, on every engine — an
+unsound overlay cap would silently poison
 pmax and safe everywhere.  This suite runs the full matrix over TPC-H and
 the adversarial zipfian joins (including the ``linear=False`` variants
 where ``degree_seq`` actually bites), and re-checks incremental-vs-
@@ -17,7 +17,7 @@ from repro.core.runner import run_with_estimators
 from repro.engine.executor import execute
 from repro.engine.monitor import ExecutionMonitor
 from repro.engine.operators import ExecutionContext
-from repro.options import ENGINES, PROTOCOLS
+from repro.options import ENGINES
 from repro.workloads import build_query, generate_tpch
 from repro.workloads.adversarial import make_zipfian_join
 
@@ -47,7 +47,7 @@ def adversarial_plans(zipf):
     ]
 
 
-def assert_sound_run(plan, catalog, engine, protocol, bounds):
+def assert_sound_run(plan, catalog, engine, bounds):
     sink = MemorySink()
     report = run_with_estimators(
         plan,
@@ -55,7 +55,6 @@ def assert_sound_run(plan, catalog, engine, protocol, bounds):
         catalog,
         sinks=[sink],
         engine=engine,
-        protocol=protocol,
         bounds=bounds,
     )
     total = report.total
@@ -70,17 +69,14 @@ def assert_sound_run(plan, catalog, engine, protocol, bounds):
 
 class TestSoundnessMatrix:
     @pytest.mark.parametrize("bounds", STACKS, ids=lambda s: "+".join(s))
-    @pytest.mark.parametrize("protocol", PROTOCOLS)
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_adversarial_plans(self, zipf, engine, protocol, bounds):
+    def test_adversarial_plans(self, zipf, engine, bounds):
         for plan_factory in (
             lambda: zipf.hash_plan(linear=False),
             lambda: zipf.merge_plan(linear=False),
             lambda: zipf.inl_plan(linear=False),
         ):
-            assert_sound_run(
-                plan_factory(), zipf.catalog, engine, protocol, bounds
-            )
+            assert_sound_run(plan_factory(), zipf.catalog, engine, bounds)
 
     @pytest.mark.parametrize("bounds", STACKS, ids=lambda s: "+".join(s))
     @pytest.mark.parametrize("engine", ENGINES)
@@ -92,17 +88,14 @@ class TestSoundnessMatrix:
                 build_query(tpch, number),
                 tpch.catalog,
                 engine,
-                "single_pass",
                 bounds,
             )
 
-    @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_tpch_both_protocols_stacked(self, tpch, protocol):
+    def test_tpch_stacked(self, tpch):
         assert_sound_run(
             build_query(tpch, 3),
             tpch.catalog,
             "fused",
-            protocol,
             ("paper2005", "degree_seq"),
         )
 

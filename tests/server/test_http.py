@@ -27,6 +27,7 @@ from repro.server import (
     ServerConfig,
     TenantQuota,
 )
+from repro.server import wsproto
 from repro.stats import StatisticsManager
 from repro.storage import Table, schema_of
 from repro.workloads import generate_tpch
@@ -120,7 +121,7 @@ class TestAdmission:
         assert end["state"] == "done"
         assert end["total"] > 0
         assert len(end["trace"]) == len(events) - 2
-        # Single-pass protocol: live samples are unlabeled; the sealed
+        # Live samples are unlabeled; the sealed
         # trace in the terminal frame carries the back-filled truth.
         for frame in frames[1:-1]:
             assert frame["actual"] is None
@@ -197,6 +198,80 @@ class TestMalformedRequests:
         assert status == 413
         assert line.endswith("Payload Too Large")
         assert str(server.config.max_body_bytes) in payload["error"]
+
+    def test_overlong_request_line_is_414(self, server):
+        status, line, payload = raw_request(server, (
+            "GET /%s HTTP/1.1\r\n\r\n" % ("a" * 70000)
+        ).encode("latin-1"))
+        assert status == 414
+        assert line.endswith("URI Too Long")
+        assert "request line" in payload["error"]
+
+    def test_overlong_header_line_is_431(self, server):
+        status, line, payload = raw_request(server, (
+            "GET /healthz HTTP/1.1\r\nX-Big: %s\r\n\r\n" % ("a" * 70000)
+        ).encode("latin-1"))
+        assert status == 431
+        assert line.endswith("Request Header Fields Too Large")
+        assert "header line" in payload["error"]
+
+    def test_too_many_headers_is_431(self, server):
+        def request_with(count):
+            headers = "".join("X-H%d: v\r\n" % i for i in range(count))
+            return raw_request(server, (
+                "GET /healthz HTTP/1.1\r\n%s\r\n" % headers
+            ).encode("latin-1"))
+
+        for count in (5000, 101):
+            status, line, payload = request_with(count)
+            assert status == 431
+            assert line.endswith("Request Header Fields Too Large")
+            assert "100 header lines" in payload["error"]
+        status, _line, payload = request_with(100)  # the limit itself
+        assert status == 200
+        assert payload["ok"] is True
+
+    def test_oversized_websocket_frame_is_closed_1009(self, client, server):
+        # A never-finishing ⋈NL keeps the stream open while the frame
+        # lands, so the only close the server can send is the refusal.
+        record = client.submit(
+            "SELECT COUNT(*) FROM big a, big b WHERE a.x < b.g",
+            tenant="t-ws-limit", target_samples=200,
+        )
+        try:
+            with socket.create_connection(
+                (server.config.host, server.port), timeout=10.0,
+            ) as sock:
+                key = base64.b64encode(os.urandom(16)).decode("ascii")
+                sock.sendall((
+                    "GET /queries/%s/events HTTP/1.1\r\n"
+                    "Upgrade: websocket\r\n"
+                    "Connection: Upgrade\r\n"
+                    "Sec-WebSocket-Key: %s\r\n"
+                    "Sec-WebSocket-Version: 13\r\n\r\n"
+                    % (record["id"], key)
+                ).encode("latin-1"))
+                # Byte-wise, so no frame byte is read past the handshake.
+                response = b""
+                while not response.endswith(b"\r\n\r\n"):
+                    response += sock.recv(1)
+                assert response.startswith(b"HTTP/1.1 101 ")
+                # Masked text frame header declaring 2**63 - 1 payload
+                # bytes; no payload follows.
+                sock.sendall(bytes([0x81, 0x80 | 127])
+                             + struct.pack(">Q", 2 ** 63 - 1)
+                             + os.urandom(4))
+                read_exact = wsproto.reader_from_socket(sock)
+                deadline = time.monotonic() + 10.0
+                while True:
+                    assert time.monotonic() < deadline, "no close frame"
+                    opcode, payload, _fin = wsproto.read_frame(read_exact)
+                    if opcode == wsproto.OP_CLOSE:
+                        break
+                assert struct.unpack(">H", payload[:2])[0] == 1009
+        finally:
+            client.cancel(record["id"])
+        assert client.healthz()["ok"] is True
 
     def test_server_still_serves_after_bad_requests(self, client):
         assert client.healthz()["ok"] is True

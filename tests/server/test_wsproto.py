@@ -116,3 +116,27 @@ class TestAsyncReader:
         assert frames[0][:2] == (wsproto.OP_TEXT, b"alpha")
         assert frames[1][:2] == (wsproto.OP_BINARY, b"beta")
         assert frames[2][0] == wsproto.OP_CLOSE
+
+
+class TestPayloadCap:
+    def test_cap_refuses_before_reading_the_key_or_payload(self):
+        # Only the 2 + 8 header bytes exist: reading any further would
+        # surface as a short read instead of FrameTooLarge.
+        header = bytes([0x81, 0x80 | 127]) + (2 ** 63 - 1).to_bytes(8, "big")
+        with pytest.raises(wsproto.FrameTooLarge):
+            wsproto.read_frame(reader_from_bytes(header),
+                               wsproto.MAX_CONTROL_PAYLOAD)
+
+    def test_cap_admits_a_full_control_frame(self):
+        encoded = wsproto.encode_frame(b"p" * 125, wsproto.OP_PING, mask=True)
+        opcode, payload, _fin = wsproto.read_frame(
+            reader_from_bytes(encoded), wsproto.MAX_CONTROL_PAYLOAD,
+        )
+        assert (opcode, payload) == (wsproto.OP_PING, b"p" * 125)
+
+    def test_uncapped_by_default(self):
+        encoded = wsproto.encode_frame(b"x" * 126, wsproto.OP_BINARY)
+        assert wsproto.read_frame(reader_from_bytes(encoded))[1] == b"x" * 126
+        with pytest.raises(wsproto.FrameTooLarge):
+            wsproto.read_frame(reader_from_bytes(encoded),
+                               wsproto.MAX_CONTROL_PAYLOAD)

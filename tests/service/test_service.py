@@ -108,9 +108,8 @@ class TestStress:
                         live = handle.sample()
                         if live is not None:
                             assert isinstance(live, TraceSample)
-                            # Single-pass protocol: truth is unknown until
-                            # the run completes, so live probes are
-                            # unlabeled.
+                            # Truth is unknown until the run completes,
+                            # so live probes are unlabeled.
                             assert live.actual is None
                             assert live.lower_bound <= live.upper_bound
                         latest = handle.progress()
