@@ -1,10 +1,14 @@
 """Sampling-overhead benchmark: what does progress instrumentation cost?
 
-Three measurements on TPC-H plans:
+Four measurements on TPC-H plans:
 
 1. **Execution overhead** — ticks/sec of a bare run (plain monitor, no
    observers) vs. a fully instrumented run (bounds tracker attached,
-   dne/pmax/safe sampled on the runner's default cadence).
+   dne/pmax/safe sampled on the runner's default cadence), on the
+   interpreted engine; and the same ratio on the columnar engine with an
+   in-memory sink attached, as a live progress bar would (best of
+   ``ENGINE_REPS`` runs each; without NumPy ``columnar`` resolves to
+   ``fused``, and the artifact records the engine that ran).
 2. **Per-sample snapshot cost** — wall time of an incremental
    ``BoundsTracker.snapshot()`` vs. a full-recompute
    ``ReferenceBoundsTracker.snapshot()`` at the *same* paused instants of
@@ -12,9 +16,15 @@ Three measurements on TPC-H plans:
    ``_snapshot_costs``).  The incremental tracker answers from its static
    caches, compiled per-node visitors and dirty-set memo; the acceptance
    bar is a ≥5× geomean speedup.
-3. **Bit-identity** — at every timed instant the two snapshots are asserted
-   equal, so the speedup claim and the correctness claim come from the same
-   instants.
+3. **Per-sample pipeline-state cost** — at the same instants, a refresh of
+   the shared :class:`~repro.core.pipelines.PipelineState` (driver
+   snapshots and dne weights, recomputed only where the tracker's event
+   feed marked them dirty) vs. computing the same values from scratch
+   (``PipelineSnapshot.capture`` and dne's weight formula per pipeline).
+   Recorded, not gated.
+4. **Bit-identity** — at every timed instant the two snapshots, and the
+   memoized and from-scratch pipeline values, are asserted equal, so the
+   speedup claims and the correctness claims come from the same instants.
 
 The numbers land in ``benchmarks/results/BENCH_progress_overhead.json`` as
 the committed baseline.
@@ -28,17 +38,25 @@ import time
 from repro.bench.harness import save_artifact
 from repro.core import (
     BoundsTracker,
+    MemorySink,
+    PipelineSnapshot,
+    PipelineState,
     ProgressRunner,
     ReferenceBoundsTracker,
+    decompose,
     standard_toolkit,
 )
+from repro.core.pipelines import runtime_output_hint
+from repro.engine.executor import _engine_choice, execute
 from repro.engine.monitor import ExecutionMonitor
 from repro.engine.operators.base import ExecutionContext
+from repro.stats.estimate import CardinalityEstimator
 from repro.workloads import build_query, generate_tpch
 
 QUERIES = [1, 3, 6, 10]
 SAMPLES_PER_RUN = 100
 SNAPSHOT_REPS = 30
+ENGINE_REPS = 3
 
 
 def _bare_run_seconds(plan):
@@ -56,6 +74,40 @@ def _instrumented_run(plan, catalog):
     return report.profile
 
 
+def _columnar_costs(build, catalog):
+    """Best-of bare vs. instrumented-with-sink wall time on columnar."""
+    bare = instrumented = float("inf")
+    for _ in range(ENGINE_REPS):
+        started = time.perf_counter()
+        execute(build(), engine="columnar")
+        bare = min(bare, time.perf_counter() - started)
+        runner = ProgressRunner(build(), standard_toolkit(), catalog,
+                                target_samples=SAMPLES_PER_RUN,
+                                sinks=[MemorySink()], engine="columnar")
+        started = time.perf_counter()
+        runner.run()
+        instrumented = min(instrumented, time.perf_counter() - started)
+    return bare, instrumented
+
+
+def _from_scratch(pipelines, estimates):
+    """Every pipeline's snapshot and dne weight, recomputed in full (dne
+    reads no weight for a single-pipeline plan)."""
+    snapshots = tuple(
+        PipelineSnapshot.capture(pipeline, estimates) for pipeline in pipelines
+    )
+    weights = []
+    for pipeline in pipelines if len(pipelines) > 1 else ():
+        weight = 0.0
+        for operator in pipeline.operators:
+            hint = runtime_output_hint(operator, estimates)
+            if hint is None:
+                hint = max(operator.rows_produced, 1.0)
+            weight += hint
+        weights.append(weight)
+    return snapshots, weights
+
+
 def _snapshot_costs(plan, catalog, reps=SNAPSHOT_REPS):
     """Time incremental vs. reference snapshots at identical instants.
 
@@ -69,18 +121,31 @@ def _snapshot_costs(plan, catalog, reps=SNAPSHOT_REPS):
     (:meth:`BoundsTracker.restore_dirty`), so each repetition re-does the
     instant's true per-sample recompute rather than answering from the
     memo — the restore itself is timed as part of the incremental cost.
+    The pipeline state is timed the same way: its dirty flags are restored
+    before each memoized refresh, against a from-scratch recompute of the
+    same values.
     """
     incremental = BoundsTracker(plan, catalog)
     reference = ReferenceBoundsTracker(plan, catalog)
+    pipelines = decompose(plan)
+    estimates = CardinalityEstimator(catalog).estimate_plan(plan)
+    state = PipelineState(pipelines, estimates, plan.operators())
     monitor = ExecutionMonitor()
-    incremental.attach(monitor)
-    timings = {"incremental": 0.0, "reference": 0.0, "samples": 0}
+    incremental.attach(monitor, state)
+    timings = {"incremental": 0.0, "reference": 0.0, "memoized": 0.0,
+               "scratch": 0.0, "samples": 0}
 
     def observe(m):
         saved = incremental.dirty_flags()
+        saved_state = list(state.dirty)
         fast = incremental.snapshot()
         slow = reference.snapshot()
         assert fast == slow, "incremental snapshot diverged from reference"
+        memo = state.refresh()
+        snapshots, weights = _from_scratch(pipelines, estimates)
+        assert memo.snapshots == snapshots, "pipeline snapshots diverged"
+        if len(pipelines) > 1:
+            assert memo.weights == weights, "dne weights diverged"
         started = time.perf_counter()
         for _ in range(reps):
             incremental.restore_dirty(saved)
@@ -89,8 +154,17 @@ def _snapshot_costs(plan, catalog, reps=SNAPSHOT_REPS):
         for _ in range(reps):
             reference.snapshot()
         done = time.perf_counter()
+        for _ in range(reps):
+            state.dirty[:] = saved_state
+            state.refresh()
+        memo_done = time.perf_counter()
+        for _ in range(reps):
+            _from_scratch(pipelines, estimates)
+        scratch_done = time.perf_counter()
         timings["incremental"] += (mid - started) / reps
         timings["reference"] += (done - mid) / reps
+        timings["memoized"] += (memo_done - done) / reps
+        timings["scratch"] += (scratch_done - memo_done) / reps
         timings["samples"] += 1
 
     probe = ExecutionMonitor()
@@ -110,6 +184,13 @@ def _snapshot_costs(plan, catalog, reps=SNAPSHOT_REPS):
     return timings
 
 
+def _geomean(values):
+    finite = [v for v in values if not math.isinf(v)]
+    if not finite:
+        return None
+    return math.exp(sum(math.log(v) for v in finite) / len(finite))
+
+
 def measure_overhead(scale=0.002):
     db = generate_tpch(scale=scale, seed=42)
     per_query = {}
@@ -118,9 +199,14 @@ def measure_overhead(scale=0.002):
         bare_seconds, ticks = _bare_run_seconds(plan)
         profile = _instrumented_run(plan, db.catalog)
         snapshot = _snapshot_costs(plan, db.catalog)
+        columnar_bare, columnar_instrumented = _columnar_costs(
+            lambda: build_query(db, number), db.catalog
+        )
         samples = max(1, snapshot["samples"])
         incremental_per_sample = snapshot["incremental"] / samples
         reference_per_sample = snapshot["reference"] / samples
+        memoized_per_sample = snapshot["memoized"] / samples
+        scratch_per_sample = snapshot["scratch"] / samples
         per_query["q%d" % (number,)] = {
             "ticks": ticks,
             "bare_seconds": bare_seconds,
@@ -135,17 +221,30 @@ def measure_overhead(scale=0.002):
                 reference_per_sample / incremental_per_sample
                 if incremental_per_sample > 0 else float("inf")
             ),
+            "memoized_pipeline_state_seconds": memoized_per_sample,
+            "scratch_pipeline_state_seconds": scratch_per_sample,
+            "pipeline_state_speedup": (
+                scratch_per_sample / memoized_per_sample
+                if memoized_per_sample > 0 else float("inf")
+            ),
+            "columnar_bare_seconds": columnar_bare,
+            "columnar_instrumented_seconds": columnar_instrumented,
+            "columnar_overhead_x": columnar_instrumented / columnar_bare,
         }
-    speedups = [entry["snapshot_speedup"] for entry in per_query.values()]
-    finite = [s for s in speedups if not math.isinf(s)]
-    geomean = (
-        math.exp(sum(math.log(s) for s in finite) / len(finite))
-        if finite else float("inf")
-    )
+    entries = per_query.values()
     return {
         "scale": scale,
         "queries": per_query,
-        "snapshot_speedup_geomean": geomean if finite else None,
+        "snapshot_speedup_geomean": _geomean(
+            [entry["snapshot_speedup"] for entry in entries]
+        ),
+        "pipeline_state_speedup_geomean": _geomean(
+            [entry["pipeline_state_speedup"] for entry in entries]
+        ),
+        "columnar_engine": _engine_choice("columnar"),
+        "columnar_overhead_x_geomean": _geomean(
+            [entry["columnar_overhead_x"] for entry in entries]
+        ),
     }
 
 
@@ -160,12 +259,18 @@ def test_snapshot_overhead(benchmark, scale_factor):
     )
     for name, entry in result["queries"].items():
         print("%s: %d ticks, incremental %.1fus vs reference %.1fus "
-              "per snapshot (%.1fx), sampling overhead %.1f%%" % (
+              "per snapshot (%.1fx), pipeline state %.1fus vs %.1fus "
+              "(%.1fx), sampling overhead %.1f%%, columnar with sink "
+              "%.2fx bare" % (
                   name, entry["ticks"],
                   entry["incremental_snapshot_seconds"] * 1e6,
                   entry["reference_snapshot_seconds"] * 1e6,
                   entry["snapshot_speedup"],
+                  entry["memoized_pipeline_state_seconds"] * 1e6,
+                  entry["scratch_pipeline_state_seconds"] * 1e6,
+                  entry["pipeline_state_speedup"],
                   entry["sampling_overhead_fraction"] * 100,
+                  entry["columnar_overhead_x"],
               ))
     assert all(entry["samples"] > 0 for entry in result["queries"].values())
     # Acceptance bar: the incremental tracker is ≥5× cheaper per sample.

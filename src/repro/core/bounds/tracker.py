@@ -10,7 +10,8 @@ once, :func:`_compile_derive` specializes them per node):
   with its rule, statics and children bound in, and, once
   :meth:`BoundsTracker.attach`\\ ed to an
   :class:`~repro.engine.monitor.ExecutionMonitor`, consumes the monitor's
-  event stream to maintain a running ``Curr`` and a dirty set, so each
+  event stream to maintain a running ``Curr`` and a dirty set (plus the
+  dirty set of a shared :class:`~repro.core.pipelines.PipelineState`), so each
   :meth:`~BoundsTracker.snapshot` only re-derives bounds for subtrees
   whose runtime counters actually changed.
 * :class:`ReferenceBoundsTracker` — the full-recompute oracle: it re-walks
@@ -55,6 +56,7 @@ from repro.core.bounds.providers import (
     compose_caps,
     resolve_providers,
 )
+from repro.core.pipelines import PipelineState
 from repro.engine.monitor import (
     EVENT_RESET,
     EVENT_TICK,
@@ -140,6 +142,15 @@ class BoundsTracker:
         # they must only ever be mutated in place, never rebound.
         self._monitor: Optional[ExecutionMonitor] = None
         self._curr = 0
+        self._scanned: List[bool] = [False] * self._count
+        for leaf in plan.scanned_leaves():
+            self._scanned[self._idx[leaf.operator_id]] = True
+        self._leaf_consumed = 0
+        self._state: Optional[PipelineState] = None
+        # stands in for the state's dirty set when none is attached: never
+        # cleared, so the ancestor walk in _on_batch ignores it
+        self._always_dirty = [True] * self._count
+        self._state_dirty: List[bool] = self._always_dirty
         self._dirty: List[bool] = [True] * self._count
         self._any_dirty = True
         self._ctx_valid: List[bool] = [False] * self._count
@@ -153,18 +164,39 @@ class BoundsTracker:
 
     # -- monitor wiring ------------------------------------------------------------
 
-    def attach(self, monitor: ExecutionMonitor) -> None:
-        """Feed this tracker from ``monitor``'s event stream.
+    def attach(
+        self,
+        monitor: ExecutionMonitor,
+        state: Optional[PipelineState] = None,
+    ) -> None:
+        """Feed this tracker — and ``state``, if given — from ``monitor``'s
+        event stream.
 
-        Resets all runtime state: attach before the monitored execution
-        begins (the runner does this for every run).
+        One batch listener maintains everything an instrumented run derives
+        from events: the running ``Curr``, the scanned-leaf input count
+        (:attr:`leaf_input_consumed`), this tracker's dirty set and the
+        pipeline state's.  ``state`` must index the plan's operators in
+        plan pre-order, like the tracker.  Resets all runtime state: attach
+        before the monitored execution begins (the runner does this for
+        every run).
         """
         self.detach()
+        if state is not None:
+            if [op.operator_id for op in state.operators] != [
+                op.operator_id for op in self._ops
+            ]:
+                raise ValueError(
+                    "pipeline state must index the plan's operators in "
+                    "plan pre-order"
+                )
+            state.attached = True
+            self._state = state
+            self._state_dirty = state.dirty
         self._monitor = monitor
-        # The batch channel: per-event work here is additive (curr) or
-        # idempotent (dirty marking), so coalesced ticks from the fused
-        # engine's record_batch are exact — and the interpreted engine
-        # delivers the same events with n == 1.
+        # The batch channel: per-event work here is additive (curr, leaf
+        # input) or idempotent (dirty marking), so coalesced ticks from the
+        # batched engines' record_batch are exact — and the interpreted
+        # engine delivers the same events with n == 1.
         monitor.add_batch_listener(self._on_batch)
         self._reset_runtime()
 
@@ -172,22 +204,32 @@ class BoundsTracker:
         if self._monitor is not None:
             self._monitor.remove_batch_listener(self._on_batch)
             self._monitor = None
+        if self._state is not None:
+            self._state.attached = False
+            self._state = None
+            self._state_dirty = self._always_dirty
 
     @property
     def curr(self) -> int:
         """Running counted-getnext total (only meaningful while attached)."""
         return self._curr
 
+    @property
+    def leaf_input_consumed(self) -> int:
+        """Tuples consumed so far from the plan's scanned leaves (μ̂'s
+        denominator; only meaningful while attached)."""
+        return self._leaf_consumed
+
     def _reset_runtime(self) -> None:
         self._curr = 0
+        self._leaf_consumed = 0
         self._dirty[:] = self._all_true
         self._any_dirty = True
         self._ctx_valid[:] = self._all_false
         self._node_bounds[:] = (None,) * self._count
         self._per_node.clear()
-
-    def _on_event(self, operator_id: int, event: str) -> None:
-        self._on_batch(operator_id, event, 1 if event == EVENT_TICK else 0)
+        if self._state is not None:
+            self._state.invalidate()
 
     def _on_batch(self, operator_id: int, event: str, n: int) -> None:
         if event == EVENT_RESET:
@@ -198,13 +240,18 @@ class BoundsTracker:
             return
         if event == EVENT_TICK:
             self._curr += n
-        # tick, finish and rewind all invalidate the node and its ancestors;
-        # stop as soon as an already-dirty ancestor is found (its own
-        # ancestors are dirty by induction).
+            if self._scanned[i]:
+                self._leaf_consumed += n
+        # tick, finish and rewind all invalidate the node and its ancestors
+        # in both dirty sets; stop as soon as an ancestor is dirty in both
+        # (its own ancestors are, by induction — each set is only ever
+        # cleared whole).
         dirty = self._dirty
+        state_dirty = self._state_dirty
         parent = self._parent_idx
-        while i >= 0 and not dirty[i]:
+        while i >= 0 and not (dirty[i] and state_dirty[i]):
             dirty[i] = True
+            state_dirty[i] = True
             i = parent[i]
         self._any_dirty = True
 

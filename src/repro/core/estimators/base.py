@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.bounds import BoundsSnapshot
-from repro.core.pipelines import Pipeline
+from repro.core.pipelines import Pipeline, PipelineState
 from repro.engine.plan import Plan
 from repro.errors import DegenerateBoundsError
 
@@ -33,6 +33,22 @@ class Observation:
     estimates: Optional[Dict[int, float]] = None
     #: total tuples consumed so far from scanned leaves (μ̂'s denominator)
     leaf_input_consumed: int = 0
+    #: the run's event-invalidated driver state of ``pipelines``, shared by
+    #: every estimator and the event stream (read it via :meth:`driver_state`)
+    pipeline_state: Optional[PipelineState] = None
+
+    def driver_state(self) -> PipelineState:
+        """The pipelines' driver state at this instant, brought up to date.
+
+        An observation built without a state gets a transient unattached
+        one, which recomputes in full on every refresh.
+        """
+        state = self.pipeline_state
+        if state is None:
+            state = self.pipeline_state = PipelineState(
+                self.pipelines, self.estimates
+            )
+        return state.refresh()
 
 
 class ProgressEstimator(abc.ABC):

@@ -4,7 +4,9 @@ For a single pipeline, dne returns the fraction of the driver node's input
 consumed.  For multi-pipeline plans it follows the approach of [5]: each
 pipeline's local driver fraction is weighted by that pipeline's (estimated)
 share of the total work, with weights refined to exact tick counts as
-pipelines finish.
+pipelines finish.  Fractions and weights come from the run's shared
+:class:`~repro.core.pipelines.PipelineState`, which recomputes only the
+pipelines an event touched since the previous instant.
 
 The clamped variant additionally constrains dne to the interval
 ``[Curr/UB, Curr/LB]`` implied by the runtime bounds — the adjustment §5.4
@@ -13,8 +15,6 @@ uses to give dne a worst-case guarantee on scan-based plans.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
 from repro.core.estimators.base import (
     Observation,
     ProgressEstimator,
@@ -22,28 +22,6 @@ from repro.core.estimators.base import (
     progress_interval,
     require_sound_bounds,
 )
-from repro.core.pipelines import Pipeline
-
-
-def _pipeline_weight(
-    pipeline: Pipeline, estimates: Optional[Dict[int, float]]
-) -> float:
-    """Expected counted getnext calls in ``pipeline``.
-
-    Finished operators contribute their exact tick counts; unfinished ones
-    their optimizer estimate (falling back to driver totals when no estimate
-    is available).  These weights carry no guarantee — they only apportion
-    progress across pipelines, exactly as in [5].
-    """
-    from repro.core.pipelines import runtime_output_hint
-
-    weight = 0.0
-    for operator in pipeline.operators:
-        hint = runtime_output_hint(operator, estimates)
-        if hint is None:
-            hint = max(operator.rows_produced, 1.0)
-        weight += hint
-    return weight
 
 
 class DneEstimator(ProgressEstimator):
@@ -52,18 +30,17 @@ class DneEstimator(ProgressEstimator):
     name = "dne"
 
     def estimate(self, observation: Observation) -> float:
-        pipelines = observation.pipelines
-        if not pipelines:
+        state = observation.driver_state()
+        snapshots = state.snapshots
+        if not snapshots:
             return 0.0
-        if len(pipelines) == 1:
-            return clamp_progress(pipelines[0].driver_fraction(observation.estimates))
+        if len(snapshots) == 1:
+            return clamp_progress(snapshots[0].driver_fraction)
         total_weight = 0.0
         achieved = 0.0
-        for pipeline in pipelines:
-            weight = _pipeline_weight(pipeline, observation.estimates)
-            fraction = pipeline.driver_fraction(observation.estimates)
+        for weight, snapshot in zip(state.weights, snapshots):
             total_weight += weight
-            achieved += weight * fraction
+            achieved += weight * snapshot.driver_fraction
         if total_weight <= 0:
             return 0.0
         return clamp_progress(achieved / total_weight)

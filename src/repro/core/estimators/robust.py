@@ -60,7 +60,6 @@ from repro.core.estimators.feedback import (
 from repro.core.estimators.hybrid import HybridMuEstimator, HybridVarianceEstimator
 from repro.core.estimators.pmax import PmaxEstimator
 from repro.core.estimators.safe import SafeEstimator
-from repro.core.pipelines import current_pipeline
 from repro.engine.plan import Plan
 from repro.errors import EstimatorConfigError, ProgressError
 
@@ -398,7 +397,7 @@ class RobustEstimator(ProgressEstimator):
         if self.strict:
             require_sound_bounds(observation.curr, observation.bounds)
         low, high = progress_interval(observation.curr, observation.bounds)
-        pipeline = current_pipeline(observation.pipelines)
+        pipeline = observation.driver_state().current()
         segment = pipeline.index if pipeline is not None else NO_SEGMENT
         values: Dict[str, float] = {}
         for name, candidate in self._pool.items():

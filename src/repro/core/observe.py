@@ -7,7 +7,8 @@ instrumentation itself costs.  This module supplies that layer:
 
 * :class:`ProgressEvent` — one structured record per sampled instant:
   Curr/total/actual, runtime bounds, every estimator's answer, per-pipeline
-  driver state, and the tick-rate / ETA gauges;
+  driver state (:class:`~repro.core.pipelines.PipelineSnapshot`, re-exported
+  here), and the tick-rate / ETA gauges;
 * :class:`ProgressEventSink` — where events go.  :class:`MemorySink` keeps
   them for tests and dashboards; :class:`JsonlTraceWriter` streams them as
   JSON Lines (one object per line, append-friendly, ``tail -f``-able);
@@ -26,7 +27,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import IO, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.pipelines import Pipeline
+from repro.core.pipelines import PipelineSnapshot
 
 #: keys already warned about through :func:`warn_once` (process-wide)
 _warned_keys: Set[str] = set()
@@ -44,41 +45,6 @@ def warn_once(key: str, message: str, category: type = RuntimeWarning) -> None:
         return
     _warned_keys.add(key)
     warnings.warn(message, category, stacklevel=3)
-
-
-@dataclass(frozen=True)
-class PipelineSnapshot:
-    """One pipeline's driver state at a sampled instant."""
-
-    index: int
-    drivers: Tuple[str, ...]
-    started: bool
-    finished: bool
-    driver_consumed: int
-    driver_fraction: float
-
-    @classmethod
-    def capture(
-        cls, pipeline: Pipeline, estimates: Optional[Dict[int, float]] = None
-    ) -> "PipelineSnapshot":
-        return cls(
-            index=pipeline.index,
-            drivers=tuple(driver.label() for driver in pipeline.drivers),
-            started=pipeline.started(),
-            finished=pipeline.finished(),
-            driver_consumed=pipeline.driver_consumed(),
-            driver_fraction=pipeline.driver_fraction(estimates),
-        )
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "index": self.index,
-            "drivers": list(self.drivers),
-            "started": self.started,
-            "finished": self.finished,
-            "driver_consumed": self.driver_consumed,
-            "driver_fraction": self.driver_fraction,
-        }
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ Decomposition rules for this engine's operators:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.engine.operators.aggregate import HashAggregate
 from repro.engine.operators.base import LeafOperator, Operator
@@ -54,30 +54,46 @@ class Pipeline:
 
     # -- runtime state -----------------------------------------------------------
 
-    def driver_total(self, estimates: Optional[Dict[int, float]] = None) -> float:
+    def driver_total(
+        self,
+        estimates: Optional[Dict[int, float]] = None,
+        driver_hints: Optional[Sequence[Optional[float]]] = None,
+    ) -> float:
         """Expected number of tuples the drivers will produce in total.
 
         Exact for leaves (catalog cardinalities / index match counts) and
         for blocking drivers that finished materializing; otherwise falls
-        back to the optimizer estimate for that node.
+        back to the optimizer estimate for that node.  ``driver_hints`` are
+        the drivers' :func:`runtime_output_hint` values when the caller
+        already holds them (a :class:`PipelineState` memo); otherwise they
+        are computed here.
         """
+        if driver_hints is None:
+            driver_hints = [
+                runtime_output_hint(driver, estimates) for driver in self.drivers
+            ]
         total = 0.0
-        for driver in self.drivers:
-            total += _driver_node_total(driver, estimates)
+        for hint in driver_hints:
+            total += hint if hint is not None else 0.0
         return total
 
     def driver_consumed(self) -> int:
         """Tuples retrieved from the drivers so far."""
         return sum(driver.rows_produced for driver in self.drivers)
 
-    def driver_fraction(self, estimates: Optional[Dict[int, float]] = None) -> float:
+    def driver_fraction(
+        self,
+        estimates: Optional[Dict[int, float]] = None,
+        driver_hints: Optional[Sequence[Optional[float]]] = None,
+    ) -> float:
         """dne's core quantity: fraction of the driver input consumed."""
-        if all(driver.finished for driver in self.drivers):
+        if self.finished():
             return 1.0
-        total = self.driver_total(estimates)
+        total = self.driver_total(estimates, driver_hints)
+        consumed = self.driver_consumed()
         if total <= 0:
-            return 1.0 if self.started() else 0.0
-        return min(1.0, self.driver_consumed() / total)
+            return 1.0 if consumed > 0 else 0.0
+        return min(1.0, consumed / total)
 
     def started(self) -> bool:
         return self.driver_consumed() > 0
@@ -91,11 +107,6 @@ class Pipeline:
             [driver.label() for driver in self.drivers],
             len(self.operators),
         )
-
-
-def _driver_node_total(driver: Operator, estimates: Optional[Dict[int, float]]) -> float:
-    hint = runtime_output_hint(driver, estimates)
-    return hint if hint is not None else 0.0
 
 
 #: type → small dispatch code for :func:`runtime_output_hint`.  The hint
@@ -256,10 +267,206 @@ def pipeline_of(pipelines: List[Pipeline], operator: Operator) -> Optional[Pipel
 
 def current_pipeline(pipelines: List[Pipeline]) -> Optional[Pipeline]:
     """The earliest pipeline that has started but not finished."""
-    for pipeline in pipelines:
-        if pipeline.started() and not pipeline.finished():
-            return pipeline
-    for pipeline in pipelines:
-        if not pipeline.finished():
-            return pipeline
-    return None
+    return PipelineState(pipelines).refresh().current()
+
+
+@dataclass(frozen=True)
+class PipelineSnapshot:
+    """One pipeline's driver state at a sampled instant."""
+
+    index: int
+    drivers: Tuple[str, ...]
+    started: bool
+    finished: bool
+    driver_consumed: int
+    driver_fraction: float
+
+    @classmethod
+    def capture(
+        cls, pipeline: Pipeline, estimates: Optional[Dict[int, float]] = None
+    ) -> "PipelineSnapshot":
+        """``pipeline``'s snapshot, computed from scratch."""
+        return cls._assemble(
+            pipeline,
+            tuple(driver.label() for driver in pipeline.drivers),
+            estimates,
+            None,
+        )
+
+    @classmethod
+    def _assemble(
+        cls,
+        pipeline: Pipeline,
+        drivers: Tuple[str, ...],
+        estimates: Optional[Dict[int, float]],
+        driver_hints: Optional[Sequence[Optional[float]]],
+    ) -> "PipelineSnapshot":
+        consumed = pipeline.driver_consumed()
+        return cls(
+            index=pipeline.index,
+            drivers=drivers,
+            started=consumed > 0,
+            finished=pipeline.finished(),
+            driver_consumed=consumed,
+            driver_fraction=pipeline.driver_fraction(estimates, driver_hints),
+        )
+
+    def to_dict(self) -> Dict[str, object]:
+        return {
+            "index": self.index,
+            "drivers": list(self.drivers),
+            "started": self.started,
+            "finished": self.finished,
+            "driver_consumed": self.driver_consumed,
+            "driver_fraction": self.driver_fraction,
+        }
+
+
+class PipelineState:
+    """Every pipeline's driver state at the current instant, shared by all
+    of its readers and recomputed only where events changed it.
+
+    At an observer instant dne (and through it dne+bounds), robust's
+    current-pipeline segment, the runner's live probe and the sample event
+    all read the same per-pipeline values: a frozen
+    :class:`PipelineSnapshot` (driver consumed, started, finished, driver
+    fraction) and dne's weight.  They come from a per-operator
+    :func:`runtime_output_hint` memo.
+
+    Invalidation: a :class:`~repro.core.bounds.BoundsTracker` attached with
+    this state marks :attr:`dirty` for each event's operator and all its
+    ancestors — the walk that already maintains its own bounds memo.  A
+    hint reads only its operator's subtree, so those are exactly the hints
+    an event can change.  :meth:`refresh` recomputes each dirty operator's
+    hint, re-sums (in operator order) the weight of each pipeline with a
+    dirty member and re-assembles the snapshot of each pipeline with a
+    dirty driver — a snapshot reads only its drivers' subtrees.  Every
+    value is bit-identical to a from-scratch computation
+    (:meth:`PipelineSnapshot.capture`, :meth:`Pipeline.driver_fraction`),
+    and other pipelines keep their snapshot instances.  Unattached, every
+    refresh recomputes in full.
+    """
+
+    def __init__(
+        self,
+        pipelines: List[Pipeline],
+        estimates: Optional[Dict[int, float]] = None,
+        operators: Optional[Iterable[Operator]] = None,
+    ) -> None:
+        self.pipelines = list(pipelines)
+        self.estimates = estimates
+        if operators is None:
+            unique: Dict[int, Operator] = {}
+            for pipeline in self.pipelines:
+                for operator in pipeline.operators:
+                    unique.setdefault(operator.operator_id, operator)
+            operators = unique.values()
+        #: the indexing of :attr:`dirty`; a feeding tracker requires plan
+        #: pre-order (see :meth:`BoundsTracker.attach`)
+        self.operators: List[Operator] = list(operators)
+        count = len(self.operators)
+        #: per-operator invalidation flags, set in place by the feeding
+        #: tracker and cleared by :meth:`refresh`
+        self.dirty: List[bool] = [True] * count
+        #: True while a tracker feeds :attr:`dirty` from a monitor's events
+        self.attached = False
+        self._all_true = [True] * count
+        self._all_false = [False] * count
+        index = {op.operator_id: i for i, op in enumerate(self.operators)}
+        #: per operator, the pipelines it belongs to (a ⋈NL inner's
+        #: blocking operator belongs to two) and the pipelines it drives
+        self._owners: List[List[int]] = [[] for _ in range(count)]
+        self._driven: List[List[int]] = [[] for _ in range(count)]
+        self._members: List[List[int]] = []
+        self._drivers: List[List[int]] = []
+        for p, pipeline in enumerate(self.pipelines):
+            members = [index[op.operator_id] for op in pipeline.operators]
+            drivers = [index[op.operator_id] for op in pipeline.drivers]
+            self._members.append(members)
+            self._drivers.append(drivers)
+            for i in members:
+                self._owners[i].append(p)
+            for i in drivers:
+                self._driven[i].append(p)
+        self._labels = [
+            tuple(driver.label() for driver in pipeline.drivers)
+            for pipeline in self.pipelines
+        ]
+        # Driver hints feed every fraction; dne reads a lone pipeline's
+        # fraction alone, so weights (and the other operators' hints) are
+        # kept only for multi-pipeline plans.
+        self._weighted = len(self.pipelines) > 1
+        self._hinted = [self._weighted] * count
+        for drivers in self._drivers:
+            for i in drivers:
+                self._hinted[i] = True
+        self._hints: List[Optional[float]] = [None] * count
+        #: dne's weight per pipeline: its expected counted getnext calls
+        #: (all 0.0 for a single-pipeline plan)
+        self.weights: List[float] = [0.0] * len(self.pipelines)
+        #: one frozen snapshot per pipeline, as of the last refresh
+        self.snapshots: Tuple[PipelineSnapshot, ...] = ()
+
+    def invalidate(self) -> None:
+        """Mark every operator dirty: the next refresh recomputes in full."""
+        self.dirty[:] = self._all_true
+
+    def refresh(self) -> "PipelineState":
+        """Recompute whatever changed since the last refresh; returns self."""
+        dirty = self.dirty
+        if not self.attached:
+            dirty[:] = self._all_true
+        elif True not in dirty:
+            return self
+        estimates = self.estimates
+        operators = self.operators
+        hints = self._hints
+        hinted = self._hinted
+        owners = self._owners
+        driven = self._driven
+        count = len(self.pipelines)
+        reweigh = [False] * count
+        recapture = [False] * count
+        for i, changed in enumerate(dirty):
+            if changed:
+                if hinted[i]:
+                    hints[i] = runtime_output_hint(operators[i], estimates)
+                for p in owners[i]:
+                    reweigh[p] = True
+                for p in driven[i]:
+                    recapture[p] = True
+        snapshots = list(self.snapshots) or [None] * count
+        for p, pipeline in enumerate(self.pipelines):
+            if recapture[p]:
+                snapshots[p] = PipelineSnapshot._assemble(
+                    pipeline,
+                    self._labels[p],
+                    estimates,
+                    [hints[i] for i in self._drivers[p]],
+                )
+            if self._weighted and reweigh[p]:
+                # Finished operators weigh their exact tick counts,
+                # unfinished ones their optimizer estimate; no guarantee
+                # attaches — weights only apportion progress across
+                # pipelines, exactly as in [5].
+                weight = 0.0
+                for i in self._members[p]:
+                    hint = hints[i]
+                    if hint is None:
+                        hint = max(operators[i].rows_produced, 1.0)
+                    weight += hint
+                self.weights[p] = weight
+        self.snapshots = tuple(snapshots)
+        dirty[:] = self._all_false
+        return self
+
+    def current(self) -> Optional[Pipeline]:
+        """The earliest pipeline that has started but not finished, else the
+        earliest unfinished one (as of the last :meth:`refresh`)."""
+        for pipeline, snapshot in zip(self.pipelines, self.snapshots):
+            if snapshot.started and not snapshot.finished:
+                return pipeline
+        for pipeline, snapshot in zip(self.pipelines, self.snapshots):
+            if not snapshot.finished:
+                return pipeline
+        return None

@@ -32,8 +32,10 @@ total to an independent bare run
 to bit-identity across engines and service backends.
 
 The instrumented run is wired for efficiency and observability: the
-:class:`~repro.core.bounds.BoundsTracker` is attached to the monitor's event
-stream (so each sample re-derives bounds only for subtrees that changed),
+:class:`~repro.core.bounds.BoundsTracker` is the monitor's one batch
+listener (so each sample re-derives bounds only for subtrees that changed,
+and the run's shared :class:`~repro.core.pipelines.PipelineState` re-derives
+driver state only for pipelines that changed),
 blocking-operator transitions force a sample via the monitor's
 pipeline-boundary hook, every estimator call is wall-time profiled into a
 :class:`~repro.core.observe.RunProfile`, and structured
@@ -53,15 +55,14 @@ from repro.core.metrics import ProgressTrace, TraceSample
 from repro.core.model import mu as compute_mu
 from repro.core.model import scanned_input_cardinality
 from repro.core.observe import (
-    PipelineSnapshot,
     ProgressEvent,
     ProgressEventSink,
     RunProfile,
     emit_to_all,
 )
-from repro.core.pipelines import Pipeline, decompose
+from repro.core.pipelines import Pipeline, PipelineState, decompose
 from repro.engine.executor import _engine_choice, pipeline_boundary_operators
-from repro.engine.monitor import EVENT_TICK, ExecutionMonitor
+from repro.engine.monitor import ExecutionMonitor
 from repro.engine.operators.base import ExecutionContext
 from repro.engine.plan import Plan
 from repro.errors import ProgressError
@@ -174,12 +175,13 @@ class RunnerProbe:
 
     Handed to the ``on_probe`` hook just before execution begins.  A probe
     can assemble a :class:`TraceSample` *on demand* — outside the runner's
-    cadence — from the incremental bounds tracker and a toolkit of
-    estimators.  Truth is unknown mid-run, so live samples carry
-    ``actual=None``.  The probe performs no locking itself: it touches the
-    same tracker memo the executor's cadence observer mutates, so
-    cross-thread callers must hold whatever lock serializes the monitor (the
-    query service scopes both paths under its monitor's lock).
+    cadence — from the incremental bounds tracker, the run's shared
+    pipeline state and a toolkit of estimators.  Truth is unknown mid-run,
+    so live samples carry ``actual=None``.  The probe performs no locking
+    itself: it touches the same tracker and pipeline-state memos the
+    executor's cadence observer mutates, so cross-thread callers must hold
+    whatever lock serializes the monitor (the query service scopes both
+    paths under its monitor's lock).
     """
 
     def __init__(
@@ -187,20 +189,16 @@ class RunnerProbe:
         plan: Plan,
         monitor: ExecutionMonitor,
         tracker: BoundsTracker,
-        pipelines: List[Pipeline],
-        estimates,
+        state: PipelineState,
         estimators: Sequence[ProgressEstimator],
         weighted,
-        leaf_consumed: List[int],
     ) -> None:
         self.plan = plan
         self.monitor = monitor
         self.tracker = tracker
-        self.pipelines = pipelines
-        self.estimates = estimates
+        self.state = state
         self.estimators = list(estimators)
         self._weighted = weighted
-        self._leaf_consumed = leaf_consumed
 
     def live_sample(self) -> TraceSample:
         """One on-demand sample at the current instant (not thread-safe)."""
@@ -210,12 +208,14 @@ class RunnerProbe:
             snapshot = self._weighted.weighted_bounds(snapshot)
         else:
             curr = self.monitor.total_ticks
+        state = self.state
         observation = Observation(
             curr=curr,
             bounds=snapshot,
-            pipelines=self.pipelines,
-            estimates=self.estimates,
-            leaf_input_consumed=self._leaf_consumed[0],
+            pipelines=state.pipelines,
+            estimates=state.estimates,
+            leaf_input_consumed=self.tracker.leaf_input_consumed,
+            pipeline_state=state,
         )
         values = {
             estimator.name: estimator.estimate(observation)
@@ -295,9 +295,9 @@ class ProgressRunner:
         )
         pipelines: List[Pipeline] = decompose(self.plan)
         tracker = BoundsTracker(self.plan, self.catalog, bounds=self.bounds)
-        scanned_leaf_ids = {
-            leaf.operator_id for leaf in self.plan.scanned_leaves()
-        }
+        # One driver state per run, shared by every estimator, the probe and
+        # the sample events, and invalidated by the tracker's event feed.
+        state = PipelineState(pipelines, estimates, self.plan.operators())
         for estimator in self.estimators:
             estimator.prepare(self.plan)
 
@@ -315,14 +315,7 @@ class ProgressRunner:
         sinks = self.sinks
         model_name = self.work_model.name if self.work_model else "getnext"
         started_at = clock()
-        # Incremental μ̂-denominator: counting leaf ticks as they happen
-        # avoids re-summing leaf counters on every sample.
-        leaf_consumed = [0]
         seq = [0]
-
-        def on_tick(operator_id: int, event: str, n: int) -> None:
-            if event == EVENT_TICK and operator_id in scanned_leaf_ids:
-                leaf_consumed[0] += n
 
         def emit(kind: str, curr: float, actual: Optional[float],
                  estimate_values: Dict[str, float],
@@ -420,6 +413,11 @@ class ProgressRunner:
             sample_started = clock()
             tick = monitor.total_ticks
             snapshot = tracker.snapshot()
+            if final:
+                # close() released operator state after the root's last
+                # event, announcing nothing; hints read that state, so the
+                # terminal sample recomputes every pipeline.
+                state.invalidate()
             if weighted is not None:
                 curr = weighted.current()
                 snapshot = weighted.weighted_bounds(snapshot)
@@ -430,7 +428,8 @@ class ProgressRunner:
                 bounds=snapshot,
                 pipelines=pipelines,
                 estimates=estimates,
-                leaf_input_consumed=leaf_consumed[0],
+                leaf_input_consumed=tracker.leaf_input_consumed,
+                pipeline_state=state,
             )
             estimate_values: Dict[str, float] = {}
             for estimator in self.estimators:
@@ -456,10 +455,11 @@ class ProgressRunner:
                 monitor.set_observer_cadence(sample, builder.cadence)
             profile.samples += 1
             if sinks:
-                # Capturing per-pipeline snapshots costs real work per
-                # sample; only do it when someone is listening.  Extras are
-                # collected first so a selection change is announced before
-                # the sample that exhibits it.
+                # Extras are collected first so a selection change is
+                # announced before the sample that exhibits it.  Pipeline
+                # snapshots come from the shared state: only pipelines an
+                # event touched since the last refresh are re-captured, so
+                # consecutive events share the instances of the others.
                 emit_refinements(
                     curr, estimate_values,
                     observation.bounds.lower, observation.bounds.upper,
@@ -471,18 +471,14 @@ class ProgressRunner:
                 emit(
                     "sample", curr, actual, estimate_values,
                     observation.bounds.lower, observation.bounds.upper,
-                    tuple(
-                        PipelineSnapshot.capture(pipeline, estimates)
-                        for pipeline in pipelines
-                    ),
+                    state.refresh().snapshots,
                     payload=payload,
                 )
             profile.sample_seconds += clock() - sample_started
 
         monitor = self.monitor_factory()
         monitor.mark_pipeline_boundaries(pipeline_boundary_operators(self.plan))
-        monitor.add_batch_listener(on_tick)
-        tracker.attach(monitor)
+        tracker.attach(monitor, state)
         monitor.add_observer(sample, every=builder.cadence)
         if self.on_probe is not None:
             probe_estimators = self.estimators
@@ -491,8 +487,7 @@ class ProgressRunner:
                 for estimator in probe_estimators:
                     estimator.prepare(self.plan)
             self.on_probe(RunnerProbe(
-                self.plan, monitor, tracker, pipelines, estimates,
-                probe_estimators, weighted, leaf_consumed,
+                self.plan, monitor, tracker, state, probe_estimators, weighted,
             ))
         emit("run_start", 0.0, 0.0, {}, 0.0, 0.0)
         context = ExecutionContext(monitor)
@@ -524,7 +519,6 @@ class ProgressRunner:
             raise
         finally:
             tracker.detach()
-            monitor.remove_batch_listener(on_tick)
         # The run is complete: its own counters are the oracle.  Truth
         # labels, total(Q), and µ all come from these end-of-run quantities.
         final_ticks = monitor.total_ticks

@@ -236,7 +236,9 @@ class ExecutionMonitor:
         self._tick_listeners.append(listener)
 
     def remove_tick_listener(self, listener: TickListener) -> None:
-        self._tick_listeners = [l for l in self._tick_listeners if l is not listener]
+        # ``!=``, not ``is not``: each access to a bound method builds a new
+        # object, so only equality (same function, same instance) finds it.
+        self._tick_listeners = [l for l in self._tick_listeners if l != listener]
 
     def add_batch_listener(self, listener: BatchListener) -> None:
         """Subscribe as ``listener(operator_id, event, n)``.
@@ -251,7 +253,7 @@ class ExecutionMonitor:
 
     def remove_batch_listener(self, listener: BatchListener) -> None:
         self._batch_listeners = [
-            l for l in self._batch_listeners if l is not listener
+            l for l in self._batch_listeners if l != listener
         ]
 
     # -- pipeline boundaries ------------------------------------------------------

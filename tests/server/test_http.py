@@ -1,10 +1,11 @@
 """The HTTP surface: admission, status, cancel, throttling, metrics.
 
 One module-scoped server on the thread backend serves most tests; the
-throttle tests get a dedicated server with a one-slot quota and a large
-table so the backlog is observable, and the dropped-client test gets one
-whose event loop records every exception it is handed.  Malformed requests
-go over raw sockets, since ``http.client`` refuses to send them.
+throttle test gets a dedicated one-worker server with a one-slot quota,
+whose worker a gated query holds while the backlog is observed, and the
+dropped-client test gets one whose event loop records every exception it
+is handed.  Malformed requests go over raw sockets, since ``http.client``
+refuses to send them.
 """
 
 from __future__ import annotations
@@ -15,10 +16,13 @@ import json
 import os
 import socket
 import struct
+import threading
 import time
 
 import pytest
 
+from repro.engine.operators import RowSource
+from repro.engine.plan import Plan
 from repro.options import ExecutionOptions
 from repro.server import (
     ReproServer,
@@ -294,6 +298,23 @@ class TestCancel:
         assert frames[-1]["state"] in ("cancelled", "done")
 
 
+class _GatedSource(RowSource):
+    """A row source whose first pull parks its worker until the test opens
+    the gate, so a query occupies the one worker slot for exactly as long
+    as the test needs it to."""
+
+    def __init__(self, entered, gate):
+        super().__init__(schema_of("gated", "x:int"), [(i,) for i in range(8)])
+        self.entered = entered
+        self.gate = gate
+
+    def _next(self):
+        if not self.entered.is_set():
+            self.entered.set()
+            self.gate.wait(timeout=30.0)
+        return super()._next()
+
+
 class TestThrottle:
     def test_tenant_quota_yields_429(self, db):
         config = ServerConfig(
@@ -301,35 +322,38 @@ class TestThrottle:
             default_quota=TenantQuota(max_pending=1, max_inflight=1),
         )
         instance = ReproServer(db.catalog, config=config)
+        entered, gate = threading.Event(), threading.Event()
         with instance.running():
-            client = ServerClient(instance.config.host, instance.port)
-            first = client.submit(BIG_SQL, tenant="noisy",
-                                  target_samples=200)
-            backlog = []
-            throttled = None
-            for _ in range(4):
-                try:
-                    backlog.append(client.submit(
-                        BIG_SQL, tenant="noisy", target_samples=200,
-                    ))
-                except ServerClientError as exc:
-                    throttled = exc
-                    break
-            assert throttled is not None
-            assert throttled.status == 429
-            assert throttled.payload["tenant"] == "noisy"
-            assert throttled.payload["max_pending"] == 1
-            # Another tenant still gets in while noisy is throttled.
-            other = client.submit("SELECT COUNT(*) FROM region",
-                                  tenant="quiet", target_samples=5)
-            frames = client.stream_events(other["id"])
-            assert frames[-1]["state"] == "done"
-            metrics = client.metrics()
-            assert metrics["queries"]["throttled"] >= 1
-            assert metrics["tenants"]["noisy"]["throttled"] >= 1
-            client.cancel(first["id"])
-            for record in backlog:
-                client.cancel(record["id"])
+            try:
+                client = ServerClient(instance.config.host, instance.port)
+                # noisy's one inflight slot — and the one worker — stay
+                # held until the gate opens.
+                instance.submit_local(
+                    "noisy",
+                    lambda: Plan(_GatedSource(entered, gate), "gated"),
+                    target_samples=5,
+                )
+                assert entered.wait(timeout=10.0)
+                backlog = client.submit(BIG_SQL, tenant="noisy",
+                                        target_samples=5)
+                with pytest.raises(ServerClientError) as caught:
+                    client.submit(BIG_SQL, tenant="noisy", target_samples=5)
+                throttled = caught.value
+                assert throttled.status == 429
+                assert throttled.payload["tenant"] == "noisy"
+                assert throttled.payload["max_pending"] == 1
+                # Another tenant still gets in while noisy is throttled.
+                other = client.submit("SELECT COUNT(*) FROM region",
+                                      tenant="quiet", target_samples=5)
+                gate.set()
+                frames = client.stream_events(other["id"])
+                assert frames[-1]["state"] == "done"
+                metrics = client.metrics()
+                assert metrics["queries"]["throttled"] >= 1
+                assert metrics["tenants"]["noisy"]["throttled"] >= 1
+                client.cancel(backlog["id"])
+            finally:
+                gate.set()
 
 
 class TestMetrics:
