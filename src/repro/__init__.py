@@ -19,7 +19,7 @@ The stable public surface is the :mod:`repro.api` facade, re-exported here:
 See ``docs/api.md`` for the full surface and the deprecation policy.
 """
 
-__version__ = "1.3.0"
+__version__ = "1.4.0"
 
 #: lazily-resolved public surface: name -> (module, attribute)
 _EXPORTS = {

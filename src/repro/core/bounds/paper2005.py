@@ -1,15 +1,18 @@
 """The paper's §5.1 cardinality-bound rules — the ``paper2005`` provider.
 
-This module is the single rule set both trackers execute, split three ways
-for the hot path but value-identical by construction:
+This module is the single rule set both trackers execute, written twice
+but value-identical by construction:
 
-* :func:`derive` spells every operator rule out once (the reference
-  tracker interprets it on every visit);
-* :func:`compile_derive` specializes one rule per node at construction
-  (the incremental tracker's general-context visitors);
-* :func:`compile_derive_std` additionally folds the standard execution
-  context ``(1.0, 1.0, True, True)`` into the closure for nodes that
-  provably always run under it.
+* :func:`_derive` spells every operator rule out for any execution
+  context.  The reference tracker interprets it on every visit; the
+  incremental tracker interprets it for every node that can run under a
+  non-standard context (below a LIMIT, inside a ⋈NL inner).
+* :func:`_compile_derive_std` specializes one rule per node at
+  construction with the standard execution context ``(1.0, 1.0, True,
+  True)`` folded in, for the nodes :func:`standard_flags` marks as
+  provably always running under it — 219 of the 220 nodes of the 22
+  TPC-H plans (the exception is q15's sort under its LIMIT).  It is the
+  hot path the ≥5× snapshot gate measures.
 
 Rules implemented (refined on every inspection):
 
@@ -377,300 +380,15 @@ def _derive(
     return float(produced), max(uppers, float(produced))
 
 
-def _compile_derive(node, kind, static, child_visits):
-    """Construction-time twin of :func:`_derive`.
-
-    Returns a closure ``derive(exec_lower, exec_upper, single_exec,
-    full_scan) -> (lower, upper)`` with this node's single rule
-    specialized: statics, child visitors and immutable flags are bound as
-    closure cells, so the per-sample hot path runs no dispatch, no adapter
-    hops and no array indexing.  Every float expression here must mirror
-    :func:`_derive` operation for operation — the equivalence suite asserts
-    the compiled tracker stays bit-identical to the reference at every
-    sampled instant.
-    """
-    if kind == _SCAN:
-        n = static
-
-        def derive(exec_lower, exec_upper, single_exec, full_scan):
-            if full_scan:
-                return n, n
-            return (float(node.rows_produced) if single_exec else 0.0), n
-
-        return derive
-
-    if kind == _SEEK:
-        static_lower, static_upper = static
-        upper_f = float(static_upper)
-
-        def derive(exec_lower, exec_upper, single_exec, full_scan):
-            produced = node.rows_produced if single_exec else 0
-            lower = static_lower if full_scan else 0
-            return max(float(lower), float(produced)), max(upper_f, float(produced))
-
-        return derive
-
-    if kind == _FILTER:
-        child = node.child
-        child_visit = child_visits[0]
-        if static is None:
-
-            def derive(exec_lower, exec_upper, single_exec, full_scan):
-                _, child_upper = child_visit(
-                    exec_lower, exec_upper, single_exec, full_scan
-                )
-                produced = node.rows_produced if single_exec else 0
-                consumed = child.rows_produced if single_exec else 0
-                remaining = max(0.0, child_upper - consumed)
-                in_flight = 1.0 if single_exec and consumed > produced else 0.0
-                return float(produced), float(produced) + remaining + in_flight
-
-            return derive
-        hist_lower, hist_upper = float(static[0]), float(static[1])
-
-        def derive(exec_lower, exec_upper, single_exec, full_scan):
-            _, child_upper = child_visit(
-                exec_lower, exec_upper, single_exec, full_scan
-            )
-            produced = node.rows_produced if single_exec else 0
-            consumed = child.rows_produced if single_exec else 0
-            remaining = max(0.0, child_upper - consumed)
-            in_flight = 1.0 if single_exec and consumed > produced else 0.0
-            lower = float(produced)
-            upper = float(produced) + remaining + in_flight
-            if single_exec and full_scan:
-                lower = max(lower, hist_lower)
-                upper = min(upper, max(hist_upper, lower))
-            return lower, upper
-
-        return derive
-
-    if kind == _SORT:
-        child_visit = child_visits[0]
-
-        def derive(exec_lower, exec_upper, single_exec, full_scan):
-            child_lower, child_upper = child_visit(1.0, 1.0, True, True)
-            produced = node.rows_produced if single_exec else 0
-            materialized = node.materialized_count()
-            if materialized is not None:
-                if full_scan:
-                    return float(materialized), float(materialized)
-                return float(produced), float(materialized)
-            if not full_scan:
-                return float(produced), child_upper
-            return max(child_lower, float(produced)), child_upper
-
-        return derive
-
-    if kind == _PROJECT:
-        child_visit = child_visits[0]
-
-        def derive(exec_lower, exec_upper, single_exec, full_scan):
-            child_lower, child_upper = child_visit(
-                exec_lower, exec_upper, single_exec, full_scan
-            )
-            produced = node.rows_produced if single_exec else 0
-            if not full_scan:
-                return float(produced), child_upper
-            return max(child_lower, float(produced)), child_upper
-
-        return derive
-
-    if kind == _TOPN:
-        child_visit = child_visits[0]
-        limit_f = float(node.limit)
-
-        def derive(exec_lower, exec_upper, single_exec, full_scan):
-            child_lower, child_upper = child_visit(1.0, 1.0, True, True)
-            produced = node.rows_produced if single_exec else 0
-            materialized = node.materialized_count()
-            if materialized is not None:
-                if full_scan:
-                    return float(materialized), float(materialized)
-                return float(produced), float(materialized)
-            upper = min(limit_f, child_upper)
-            lower = float(produced)
-            if full_scan:
-                lower = max(lower, min(limit_f, child_lower))
-            return lower, max(upper, lower)
-
-        return derive
-
-    if kind == _DISTINCT:
-        child_visit = child_visits[0]
-
-        def derive(exec_lower, exec_upper, single_exec, full_scan):
-            _, child_upper = child_visit(
-                exec_lower, exec_upper, single_exec, full_scan
-            )
-            produced = node.rows_produced if single_exec else 0
-            return float(produced), max(child_upper, float(produced))
-
-        return derive
-
-    if kind == _AGG_HASH or kind == _AGG_STREAM:
-        child_visit = child_visits[0]
-        grouped = bool(node.group_by)
-        hashed = kind == _AGG_HASH
-
-        def derive(exec_lower, exec_upper, single_exec, full_scan):
-            if hashed:
-                _, child_upper = child_visit(1.0, 1.0, True, True)
-            else:
-                _, child_upper = child_visit(
-                    exec_lower, exec_upper, single_exec, full_scan
-                )
-            produced = node.rows_produced if single_exec else 0
-            if not grouped:
-                return (1.0 if full_scan else float(produced)), 1.0
-            groups = 0.0
-            if hashed:
-                if node.input_consumed:
-                    exact = float(node.groups_seen())
-                    if full_scan:
-                        return exact, exact
-                    return float(produced), exact
-                groups = float(node.groups_seen())
-            lower = max(groups, float(produced)) if full_scan else float(produced)
-            return lower, max(child_upper, lower, groups)
-
-        return derive
-
-    if kind == _HASH_JOIN:
-        build_visit, probe_visit = child_visits
-        linear = node.is_linear
-        preserve = node.preserve_probe
-
-        def derive(exec_lower, exec_upper, single_exec, full_scan):
-            _, build_upper = build_visit(1.0, 1.0, True, True)
-            probe_lower, probe_upper = probe_visit(
-                exec_lower, exec_upper, single_exec, full_scan
-            )
-            produced = node.rows_produced if single_exec else 0
-            if linear:
-                upper = max(build_upper, probe_upper)
-            else:
-                upper = build_upper * probe_upper
-            lower = float(produced)
-            upper = max(upper, lower)
-            if preserve:
-                if full_scan:
-                    lower = max(lower, probe_lower)
-                upper = upper + probe_upper
-            return lower, upper
-
-        return derive
-
-    if kind == _MERGE_JOIN:
-        left_visit, right_visit = child_visits
-        linear = node.is_linear
-
-        def derive(exec_lower, exec_upper, single_exec, full_scan):
-            _, left_upper = left_visit(
-                exec_lower, exec_upper, single_exec, full_scan
-            )
-            _, right_upper = right_visit(
-                exec_lower, exec_upper, single_exec, full_scan
-            )
-            produced = node.rows_produced if single_exec else 0
-            if linear:
-                upper = max(left_upper, right_upper)
-            else:
-                upper = left_upper * right_upper
-            return float(produced), max(upper, float(produced))
-
-        return derive
-
-    if kind == _INL_JOIN:
-        child_visit = child_visits[0]
-        inner_size = static
-        linear = node.is_linear
-
-        def derive(exec_lower, exec_upper, single_exec, full_scan):
-            _, outer_upper = child_visit(
-                exec_lower, exec_upper, single_exec, full_scan
-            )
-            produced = node.rows_produced if single_exec else 0
-            if linear:
-                upper = max(outer_upper, inner_size)
-            else:
-                upper = outer_upper * inner_size
-            return float(produced), max(upper, float(produced))
-
-        return derive
-
-    if kind == _NL_JOIN:
-        outer_visit, inner_visit = child_visits
-        linear = node.is_linear
-
-        def derive(exec_lower, exec_upper, single_exec, full_scan):
-            outer_lower, outer_upper = outer_visit(
-                exec_lower, exec_upper, single_exec, full_scan
-            )
-            produced = node.rows_produced if single_exec else 0
-            guaranteed = outer_lower if full_scan else max(0.0, outer_lower - 1)
-            _, inner_upper = inner_visit(
-                exec_lower * guaranteed, exec_upper * outer_upper, False, True
-            )
-            if linear:
-                upper = max(outer_upper, inner_upper)
-            else:
-                upper = outer_upper * inner_upper
-            return float(produced), max(upper, float(produced))
-
-        return derive
-
-    if kind == _LIMIT:
-        child_visit = child_visits[0]
-        limit_f = float(node.limit)
-        offset = node.offset
-
-        def derive(exec_lower, exec_upper, single_exec, full_scan):
-            _, child_upper = child_visit(
-                exec_lower, exec_upper, single_exec, False
-            )
-            produced = node.rows_produced if single_exec else 0
-            upper = min(limit_f, max(0.0, child_upper - offset))
-            return float(produced), max(upper, float(produced))
-
-        return derive
-
-    if kind == _UNION:
-
-        def derive(exec_lower, exec_upper, single_exec, full_scan):
-            lowers, uppers = 0.0, 0.0
-            for child_visit in child_visits:
-                child_lower, child_upper = child_visit(
-                    exec_lower, exec_upper, single_exec, full_scan
-                )
-                lowers += child_lower
-                uppers += child_upper
-            produced = node.rows_produced if single_exec else 0
-            return max(lowers, float(produced)), max(uppers, float(produced))
-
-        return derive
-
-    def derive(exec_lower, exec_upper, single_exec, full_scan):
-        lowers, uppers = 0.0, 0.0
-        for child_visit in child_visits:
-            child_lower, child_upper = child_visit(
-                exec_lower, exec_upper, single_exec, full_scan
-            )
-            lowers += child_lower
-            uppers += child_upper
-        produced = node.rows_produced if single_exec else 0
-        return float(produced), max(uppers, float(produced))
-
-    return derive
-
-
 def _compile_derive_std(node, kind, static, child_visits):
-    """Like :func:`_compile_derive`, but for a node that provably always
-    executes under the standard context ``(exec_lower=1.0, exec_upper=1.0,
-    single_exec=True, full_scan=True)`` — the root's context, preserved by
-    every edge except a LIMIT's or a ⋈NL inner's (see
-    :meth:`BoundsTracker._build_visitor`).
+    """Construction-time twin of :func:`_derive` for a node that provably
+    always executes under the standard context ``(exec_lower=1.0,
+    exec_upper=1.0, single_exec=True, full_scan=True)`` — the root's
+    context, preserved by every edge except a LIMIT's or a ⋈NL inner's (see
+    :func:`standard_flags`).
 
+    Statics, child visitors and immutable flags are bound as closure cells,
+    so the per-sample hot path runs no dispatch and no adapter hops.
     Returns a zero-argument ``derive_std() -> (lower, upper)`` with the
     context constants folded: ``x * 1.0 == x`` exactly under IEEE 754 and
     ``single_exec``/``full_scan`` branches are resolved at compile time, so
@@ -900,13 +618,19 @@ def _compile_derive_std(node, kind, static, child_visits):
 
 
 def standard_flags(root: Operator) -> Dict[int, bool]:
-    """Which nodes provably always execute under the standard context.
+    """Which nodes provably always execute under the standard context
+    ``(1.0, 1.0, True, True)``, keyed by operator id.
 
-    Mirrors the compile-time ``standard`` propagation of
-    :meth:`BoundsTracker._build_visitor`: the root does; blocking drains
-    (sort, top-n, hash aggregate, hash-join build) re-impose it; a LIMIT's
-    child loses ``full_scan`` and a ⋈NL's inner loses ``single_exec``.
-    Extra bound providers only cap standard nodes — there a node's total
+    This is the one place standardness is decided.  The root is standard;
+    streaming edges preserve the parent's flag; blocking drains (sort,
+    top-n, hash aggregate, hash-join build) re-impose it whatever their own
+    context is, matching the ``visit(child, 1.0, 1.0, True, True)`` calls in
+    :func:`_derive`; a LIMIT's child loses ``full_scan`` and a ⋈NL's inner
+    loses ``single_exec``.
+
+    Two readers: :class:`~repro.core.bounds.tracker.BoundsTracker` gives
+    standard nodes the folded :func:`_compile_derive_std` visitor, and
+    extra bound providers only cap standard nodes — there a node's total
     counted getnext calls equal its single full-scan output, so a sound
     cardinality bound on the output is a sound bound on the total.
     """

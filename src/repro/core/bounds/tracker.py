@@ -2,12 +2,15 @@
 
 Both trackers execute the ``paper2005`` rule set natively (see
 :mod:`repro.core.bounds.paper2005` — :func:`_derive` spells the rules out
-once, :func:`_compile_derive` specializes them per node):
+for any execution context, :func:`_compile_derive_std` specializes them per
+node for the standard one):
 
 * :class:`BoundsTracker` — the production tracker.  It caches every static
   quantity at construction (catalog cardinalities, histogram bucket sums,
   predicate shapes, dispatch tags), compiles one visitor closure per node
-  with its rule, statics and children bound in, and, once
+  with its statics and children bound in — the folded standard-context rule
+  where :func:`~repro.core.bounds.paper2005.standard_flags` allows it,
+  :func:`_derive` behind a context memo elsewhere — and, once
   :meth:`BoundsTracker.attach`\\ ed to an
   :class:`~repro.engine.monitor.ExecutionMonitor`, consumes the monitor's
   event stream to maintain a running ``Curr`` and a dirty set (plus the
@@ -38,18 +41,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.bounds.model import BoundRefinement, BoundsSnapshot, NodeBounds
 from repro.core.bounds.paper2005 import (
-    _AGG_HASH,
-    _HASH_JOIN,
-    _LIMIT,
-    _NL_JOIN,
     _SCAN,
-    _SORT,
-    _TOPN,
     _classify,
-    _compile_derive,
     _compile_derive_std,
     _derive,
     _static_payload,
+    standard_flags,
 )
 from repro.core.bounds.providers import (
     apply_caps,
@@ -90,8 +87,8 @@ def _compose(
 class BoundsTracker:
     """Incremental :class:`BoundsSnapshot` producer for a plan.
 
-    Construction caches every static quantity and compiles one specialized
-    visitor closure per node (see :func:`_compile_derive`).  :meth:`attach`
+    Construction caches every static quantity and compiles one visitor
+    closure per node (see :meth:`_build_visitor`).  :meth:`attach`
     subscribes to a monitor's event stream; from then on each
     tick/finish/rewind marks the event's operator and its ancestors dirty,
     and :meth:`snapshot` re-derives bounds only for dirty subtrees whose
@@ -159,6 +156,7 @@ class BoundsTracker:
         self._node_bounds: List[Optional[NodeBounds]] = [None] * self._count
         self._per_node: Dict[int, NodeBounds] = {}
         self._visitors: List[Callable] = [None] * self._count
+        self._standard: Dict[int, bool] = standard_flags(plan.root)
         self._build_visitor(plan.root)
         self._root_visit = self._visitors[self._root_idx]
 
@@ -336,41 +334,28 @@ class BoundsTracker:
 
     # -- compiled recursion --------------------------------------------------------
 
-    def _build_visitor(self, node: Operator, standard: bool = True) -> Callable:
+    def _build_visitor(self, node: Operator) -> Callable:
         """Compile the visitor closure for ``node`` (children first).
 
-        The visitor wraps the node's specialized derive rule with the memo
-        check, the finished-subtree freeze and the total-bounds
-        bookkeeping; all per-node state lives in closure cells or captured
-        lists, so a visit touches no ``self``.
+        The visitor wraps the node's derive rule with the memo check, the
+        finished-subtree freeze and the total-bounds bookkeeping; all
+        per-node state lives in closure cells or captured lists, so a visit
+        touches no ``self``.
 
-        ``standard`` tracks, at compile time, whether this node can only
-        ever be visited under the root context ``(1.0, 1.0, True, True)``.
-        The root is; blocking drains (sort, top-n, hash aggregate, hash-join
-        build) re-impose it on their child whatever their own context is;
-        streaming edges preserve it; only a LIMIT's child (loses
-        ``full_scan``) and a ⋈NL's inner (loses ``single_exec``) break it.
-        Standard nodes get a leaner visitor: the 4-field context memo
-        degenerates to the dirty bit and the derive rule comes from
-        :func:`_compile_derive_std` with the context constants folded.
+        Nodes that :func:`standard_flags` marks as only ever visited under
+        the root context ``(1.0, 1.0, True, True)`` get a lean visitor: the
+        4-field context memo degenerates to the dirty bit and the derive
+        rule comes from :func:`_compile_derive_std` with the context
+        constants folded.  Every other node (below a LIMIT, or inside a
+        ⋈NL inner) memoizes its context and interprets :func:`_derive`
+        itself, recursing through its children's compiled visitors.
         """
         i = self._idx[node.operator_id]
         kind = self._kinds[i]
         children = node.children
-        if kind == _SORT or kind == _TOPN or kind == _AGG_HASH:
-            child_standard = [True] * len(children)
-        elif kind == _HASH_JOIN:
-            child_standard = [True, standard]
-        elif kind == _NL_JOIN:
-            child_standard = [standard, False]
-        elif kind == _LIMIT:
-            child_standard = [False] * len(children)
-        else:
-            child_standard = [standard] * len(children)
-        child_visits = [
-            self._build_visitor(child, child_std)
-            for child, child_std in zip(children, child_standard)
-        ]
+        child_visits = [self._build_visitor(child) for child in children]
+        standard = self._standard[node.operator_id]
+        static = self._statics[i]
         dirty = self._dirty
         ctx_valid = self._ctx_valid
         node_bounds = self._node_bounds
@@ -405,7 +390,7 @@ class BoundsTracker:
                 ctx_valid[j] = False
 
         if standard and kind == _SCAN:
-            n = self._statics[i]
+            n = static
             scan_memo = [0.0, 0.0]
 
             def visit(
@@ -448,9 +433,7 @@ class BoundsTracker:
             return visit
 
         if standard:
-            derive_std = _compile_derive_std(
-                node, kind, self._statics[i], child_visits
-            )
+            derive_std = _compile_derive_std(node, kind, static, child_visits)
             # memoized per-pass return: lower, upper
             memo_std = [0.0, 0.0]
 
@@ -496,7 +479,22 @@ class BoundsTracker:
             self._visitors[i] = visit
             return visit
 
-        derive = _compile_derive(node, kind, self._statics[i], child_visits)
+        visits_by_child = {
+            id(child): child_visit
+            for child, child_visit in zip(children, child_visits)
+        }
+
+        def visit_child(
+            child: Operator,
+            exec_lower: float,
+            exec_upper: float,
+            single_exec: bool,
+            full_scan: bool,
+        ) -> Tuple[float, float]:
+            return visits_by_child[id(child)](
+                exec_lower, exec_upper, single_exec, full_scan
+            )
+
         # memoized context and per-pass return: el, eu, se, fs, lower, upper
         memo = [0.0, 0.0, False, False, 0.0, 0.0]
 
@@ -522,8 +520,16 @@ class BoundsTracker:
                 freeze()
                 lower = upper = float(node.rows_produced)
             else:
-                lower, upper = derive(
-                    exec_lower, exec_upper, single_exec, full_scan
+                lower, upper = _derive(
+                    node,
+                    kind,
+                    static,
+                    node.rows_produced if single_exec else 0,
+                    single_exec,
+                    full_scan,
+                    exec_lower,
+                    exec_upper,
+                    visit_child,
                 )
             ticks = float(node.rows_produced)
             total_lower = max(lower * exec_lower, ticks)

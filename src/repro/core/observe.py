@@ -37,8 +37,8 @@ def warn_once(key: str, message: str, category: type = RuntimeWarning) -> None:
     """Emit ``message`` as a warning the first time ``key`` is seen.
 
     The observability layer's channel for "you are holding it wrong"
-    diagnostics that would be noise if repeated per run — e.g. a per-tick
-    listener attached while an engine records coalesced tick batches.
+    diagnostics that would be noise if repeated per run — e.g. an overlay
+    bound provider that finds no degree statistics for a plan.
     Process-wide: a key warns once per interpreter, not once per monitor.
     """
     if key in _warned_keys:

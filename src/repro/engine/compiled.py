@@ -18,10 +18,9 @@ same per-operator counts and live operator state (``rows_produced`` is
 updated inline, and blocking operators mutate their ordinary state fields:
 ``Sort._rows``, ``HashAggregate._groups``, …).  A flush always precedes a
 ``finish`` event, so pipeline-boundary forced observer rounds are identical
-too.  Event *order* within a batch is the only thing not preserved for
-legacy per-tick listeners; the batch-listener channel (what the bounds
-tracker and the runner use) is exact because its per-event work is additive
-or idempotent.
+too.  Ticks reach batch listeners coalesced per flush; that is exact for
+the bounds tracker, the run's one listener, because its per-event work is
+additive or idempotent.
 
 Operators without a hand-fused translation (merge join, stream aggregate,
 index seeks, random-order scans, user-defined operators) run through a

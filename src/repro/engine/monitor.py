@@ -12,19 +12,18 @@ inner index lookups of an index-nested-loops join are not plan operators and
 therefore never tick; see DESIGN.md §4).
 
 Beyond cadence observers, the monitor carries a low-level *event* channel:
-tick listeners receive every state transition — ``tick`` (a counted row),
-``finish`` (an operator returned end-of-stream), ``rewind`` (a subtree
-restarted for a ⋈NL rescan), ``reset`` (counters zeroed) — as
-``listener(operator_id, event)``.  This is the feed the incremental
-:class:`repro.core.bounds.BoundsTracker` uses to maintain dirty sets instead
-of re-walking the plan on every sample.
-
-A parallel *batch* channel (``add_batch_listener``) delivers the same
-events with EVENT_TICK coalesced per ``record_batch`` call; together with
-:meth:`ExecutionMonitor.ticks_until_next_observer` it lets the fused engine
-(:mod:`repro.engine.compiled`) account whole row batches in O(1) while
-firing every cadence observer at exactly the same tick numbers as the
-row-at-a-time path.
+batch listeners (``add_batch_listener``) receive every state transition —
+``tick`` (counted rows), ``finish`` (an operator returned end-of-stream),
+``rewind`` (a subtree restarted for a ⋈NL rescan), ``reset`` (counters
+zeroed) — as ``listener(operator_id, event, n)``, with ticks coalesced per
+``record_batch`` call (``n == 1`` per :meth:`ExecutionMonitor.record`).
+This is the feed the incremental :class:`repro.core.bounds.BoundsTracker`
+uses to maintain ``Curr`` and its dirty sets instead of re-walking the plan
+on every sample.  Together with
+:meth:`ExecutionMonitor.ticks_until_next_observer` it lets the fused and
+columnar engines account whole row batches in O(1) while firing every
+cadence observer at exactly the same tick numbers as the row-at-a-time
+path.
 
 Operators marked as *pipeline boundaries* (blocking operators and the nodes
 that feed them) additionally force all observers to run the moment they
@@ -37,10 +36,9 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 Observer = Callable[["ExecutionMonitor"], None]
-#: ``listener(operator_id, event)`` with event one of the EVENT_* constants
-TickListener = Callable[[int, str], None]
-#: ``listener(operator_id, event, n)`` — ``n`` is the number of coalesced
-#: ticks for EVENT_TICK and 0 for finish/rewind/reset
+#: ``listener(operator_id, event, n)`` with event one of the EVENT_*
+#: constants; ``n`` is the number of coalesced ticks for EVENT_TICK and 0
+#: for finish/rewind/reset
 BatchListener = Callable[[int, str, int], None]
 
 EVENT_TICK = "tick"
@@ -61,11 +59,8 @@ class ExecutionMonitor:
         #: that must treat forced rounds specially read this flag
         self.forced_notification = False
         self._observers: List[Tuple[int, Observer]] = []
-        self._tick_listeners: List[TickListener] = []
         self._batch_listeners: List[BatchListener] = []
         self._boundary_ops: frozenset = frozenset()
-        #: set once the per-tick-listener batch-degradation warning fired
-        self._warned_tick_fanout = False
 
     # -- operator registration -------------------------------------------------
 
@@ -81,9 +76,6 @@ class ExecutionMonitor:
         self._counts[operator_id] = self._counts.get(operator_id, 0) + 1
         total = self.total_ticks + 1
         self.total_ticks = total
-        if self._tick_listeners:
-            for listener in self._tick_listeners:
-                listener(operator_id, EVENT_TICK)
         if self._batch_listeners:
             for listener in self._batch_listeners:
                 listener(operator_id, EVENT_TICK, 1)
@@ -105,10 +97,7 @@ class ExecutionMonitor:
         tick numbers (the fused and columnar engines) must keep ``n``
         within :meth:`ticks_until_next_observer`, so the batch lands
         precisely on the next cadence multiple and each observer fires at
-        most once.  Per-tick listeners still receive one event per tick —
-        a Python loop of ``n`` calls that erases the batching gain, so
-        attaching one alongside batched engines warns once (see
-        :meth:`add_tick_listener`).
+        most once.
         """
         if n <= 0:
             return
@@ -116,22 +105,6 @@ class ExecutionMonitor:
         before = self.total_ticks
         total = before + n
         self.total_ticks = total
-        if self._tick_listeners:
-            if n > 1 and not self._warned_tick_fanout:
-                self._warned_tick_fanout = True
-                # Lazy import: repro.core pulls in the engine package.
-                from repro.core.observe import warn_once
-
-                warn_once(
-                    "per-tick-listener-batch-fanout",
-                    "a per-tick listener is attached while ticks are "
-                    "recorded in batches; record_batch degrades to one "
-                    "Python call per tick, erasing the batching gain — "
-                    "subscribe via add_batch_listener instead",
-                )
-            for listener in self._tick_listeners:
-                for _ in range(n):
-                    listener(operator_id, EVENT_TICK)
         if self._batch_listeners:
             for listener in self._batch_listeners:
                 listener(operator_id, EVENT_TICK, n)
@@ -161,8 +134,6 @@ class ExecutionMonitor:
         input, a hash join completing its build) are sampled even when they
         fall between cadence points.
         """
-        for listener in self._tick_listeners:
-            listener(operator_id, EVENT_FINISH)
         for listener in self._batch_listeners:
             listener(operator_id, EVENT_FINISH, 0)
         if operator_id in self._boundary_ops:
@@ -170,8 +141,6 @@ class ExecutionMonitor:
 
     def record_rewind(self, operator_id: int) -> None:
         """``operator_id`` restarted for a rescan (⋈NL inner side)."""
-        for listener in self._tick_listeners:
-            listener(operator_id, EVENT_REWIND)
         for listener in self._batch_listeners:
             listener(operator_id, EVENT_REWIND, 0)
 
@@ -225,33 +194,21 @@ class ExecutionMonitor:
 
     # -- event listeners ----------------------------------------------------------
 
-    def add_tick_listener(self, listener: TickListener) -> None:
-        """Subscribe to every tick/finish/rewind/reset event (hot path).
-
-        Under the batched engines this forces :meth:`record_batch` into a
-        Python loop of one call per coalesced tick — the first such batch
-        warns once.  Internal consumers all use the batch channel; this
-        channel remains for per-event diagnostics and tests.
-        """
-        self._tick_listeners.append(listener)
-
-    def remove_tick_listener(self, listener: TickListener) -> None:
-        # ``!=``, not ``is not``: each access to a bound method builds a new
-        # object, so only equality (same function, same instance) finds it.
-        self._tick_listeners = [l for l in self._tick_listeners if l != listener]
-
     def add_batch_listener(self, listener: BatchListener) -> None:
         """Subscribe as ``listener(operator_id, event, n)``.
 
         Batch listeners see EVENT_TICK coalesced (one call per recorded
         batch, with the tick count as ``n``); finish/rewind/reset arrive
-        individually with ``n == 0``.  Consumers whose per-tick work is
-        additive (counters) or idempotent (dirty marking) should prefer
-        this channel — it is what keeps the fused engine's accounting flat.
+        individually with ``n == 0``.  Coalescing is exact for consumers
+        whose per-tick work is additive (counters) or idempotent (dirty
+        marking), and it is what keeps the batched engines' accounting
+        flat; the interpreted engine delivers every tick with ``n == 1``.
         """
         self._batch_listeners.append(listener)
 
     def remove_batch_listener(self, listener: BatchListener) -> None:
+        # ``!=``, not ``is not``: each access to a bound method builds a new
+        # object, so only equality (same function, same instance) finds it.
         self._batch_listeners = [
             l for l in self._batch_listeners if l != listener
         ]
@@ -279,8 +236,6 @@ class ExecutionMonitor:
         """Zero all counters (observers and listeners are kept)."""
         self._counts = {key: 0 for key in self._counts}
         self.total_ticks = 0
-        for listener in self._tick_listeners:
-            listener(0, EVENT_RESET)
         for listener in self._batch_listeners:
             listener(0, EVENT_RESET, 0)
 

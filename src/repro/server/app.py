@@ -26,6 +26,9 @@ query's buffered-and-live :class:`~repro.server.bridge.EventStream`, so a
 client connecting at any point sees the complete ordered sequence —
 ``queued``, every cadence ``sample`` (estimates live, ``actual`` null
 mid-run), then ``end`` carrying the sealed, truth-labeled trace.
+A connection that has not delivered its request line, headers and body
+within :data:`REQUEST_READ_TIMEOUT` seconds is answered 408 and closed;
+an upgraded WebSocket stream is not timed.
 
 Everything runs on the standard library; ``uvloop``/``websockets`` are
 picked up through :mod:`repro.server.compat` when installed.
@@ -56,6 +59,10 @@ _REASONS = {
 #: most header lines one request may carry (``http.client``'s own limit);
 #: a line longer than the ``StreamReader`` buffer limit is refused too
 MAX_HEADERS = 100
+#: seconds a connection may take to deliver its request line, headers and
+#: body before it is answered 408 and closed (WebSocket streams, once
+#: upgraded, are not timed)
+REQUEST_READ_TIMEOUT = 30.0
 
 
 class _RequestError(Exception):
@@ -206,7 +213,15 @@ class ReproServer:
                              writer: asyncio.StreamWriter) -> None:
         keep_open = False
         try:
-            request = await self._read_request(reader)
+            try:
+                request = await asyncio.wait_for(
+                    self._read_request(reader), REQUEST_READ_TIMEOUT,
+                )
+            except asyncio.TimeoutError:
+                raise _RequestError(
+                    408, "no complete request within %g s"
+                    % REQUEST_READ_TIMEOUT,
+                ) from None
             if request is None:
                 return
             method, path, headers, body = request

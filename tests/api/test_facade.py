@@ -4,7 +4,8 @@ Two contracts are pinned here: the README quickstart runs **verbatim**
 through the facade, and the facade stays warning-free.  The deprecation
 shims the stability policy kept for one minor release (``DEFAULT_ENGINE``
 and the per-knob ``resolve_*``/``default_*`` resolvers) are gone since
-1.2.0, and the evaluation-protocol option is gone since 1.3.0.
+1.2.0, the evaluation-protocol option is gone since 1.3.0, and the
+monitor's per-tick listener channel since 1.4.0.
 """
 
 from __future__ import annotations
@@ -181,6 +182,15 @@ class TestDeprecationShims:
             if fragment in name.lower()
         ]
         assert names == []
+
+    @pytest.mark.parametrize("name", [
+        "TickListener", "add_tick_listener", "remove_tick_listener",
+    ])
+    def test_tick_listener_channel_removed_in_1_4_0(self, name):
+        from repro.engine import monitor
+
+        assert not hasattr(monitor, name)
+        assert not hasattr(monitor.ExecutionMonitor, name)
 
     def test_protocol_keyword_raises_type_error(self):
         from repro.core import DneEstimator, ProgressRunner

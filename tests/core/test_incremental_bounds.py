@@ -10,17 +10,25 @@ two produce equal ``BoundsSnapshot``\\ s, float for float.
 
 import math
 
+import pytest
 from hypothesis import given, settings
 
 from repro.core import BoundsTracker, ReferenceBoundsTracker, total_work
-from repro.engine.expressions import col, lit
+from repro.core.bounds import paper2005
+from repro.engine.expressions import Between, col, lit
 from repro.engine.monitor import ExecutionMonitor
 from repro.engine.operators import (
+    Distinct,
     ExecutionContext,
     Filter,
+    HashAggregate,
+    HashJoin,
+    IndexNestedLoopsJoin,
+    IndexSeek,
     Limit,
     MergeJoin,
     NestedLoopsJoin,
+    Project,
     Sort,
     SortKey,
     StreamAggregate,
@@ -30,7 +38,8 @@ from repro.engine.operators import (
     count_star,
 )
 from repro.engine.plan import Plan
-from repro.storage import Table, schema_of
+from repro.stats import StatisticsManager
+from repro.storage import Catalog, Table, schema_of
 from repro.workloads import build_query, generate_tpch
 
 from tests.core.test_properties import plans
@@ -74,8 +83,12 @@ def test_incremental_matches_reference_on_random_plans(plan):
 @given(plans())
 def test_incremental_invariant_at_every_tick(plan):
     """Curr ≤ LB ≤ total(Q) ≤ UB, checked on the incremental tracker."""
+    check_invariant_at_every_tick(plan)
+
+
+def check_invariant_at_every_tick(plan, catalog=None):
     total = total_work(plan)
-    tracker = BoundsTracker(plan)
+    tracker = BoundsTracker(plan, catalog)
     monitor = ExecutionMonitor()
     tracker.attach(monitor)
 
@@ -153,6 +166,91 @@ class TestHandWrittenShapes:
         left, _ = small_tables()
         plan = Plan(StreamAggregate(TableScan(left), [], [count_star("n")]))
         run_comparing(plan)
+
+
+def kinds_catalog():
+    """Two small tables with indexes and histograms, so seeks and range
+    filters carry their catalog-derived statics."""
+    catalog = Catalog()
+    catalog.add_table(Table("a", schema_of("a", "k:int", "v:int"), [
+        (k, v) for v, k in enumerate([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8])
+    ]))
+    catalog.add_table(Table("b", schema_of("b", "k:int"),
+                            [(v,) for v in [2, 7, 1, 8, 2, 8, 5]]))
+    catalog.add_table(Table("o", schema_of("o", "x:int"),
+                            [(v,) for v in [10, 20, 30]]))
+    catalog.create_sorted_index("a", "k")
+    catalog.create_hash_index("b", "k")
+    StatisticsManager(catalog).analyze_all()
+    return catalog
+
+
+def _scan(catalog, name):
+    return TableScan(catalog.table(name))
+
+
+def _sorted(catalog, name):
+    return Sort(_scan(catalog, name), [SortKey(col("%s.k" % (name,)))])
+
+
+#: one node per operator kind that ``_classify`` tags, built over
+#: :func:`kinds_catalog`
+NODE_KINDS = {
+    "scan": (paper2005._SCAN, lambda c: _scan(c, "a")),
+    "seek": (paper2005._SEEK,
+             lambda c: IndexSeek(c.sorted_index("a", "k"), 2, 6)),
+    "filter": (paper2005._FILTER, lambda c: Filter(
+        _scan(c, "a"), Between(col("a.k"), lit(2), lit(6)))),
+    "project": (paper2005._PROJECT, lambda c: Project(
+        _scan(c, "a"), [("k", col("a.k"))])),
+    "sort": (paper2005._SORT, lambda c: _sorted(c, "a")),
+    "topn": (paper2005._TOPN, lambda c: TopN(
+        _scan(c, "a"), [SortKey(col("a.k"))], 4)),
+    "distinct": (paper2005._DISTINCT, lambda c: Distinct(
+        Project(_scan(c, "a"), [("k", col("a.k"))]))),
+    "hash_aggregate": (paper2005._AGG_HASH, lambda c: HashAggregate(
+        _scan(c, "a"), [("k", col("a.k"))], [count_star("n")])),
+    "stream_aggregate": (paper2005._AGG_STREAM, lambda c: StreamAggregate(
+        _sorted(c, "a"), [("k", col("a.k"))], [count_star("n")])),
+    "hash_join": (paper2005._HASH_JOIN, lambda c: HashJoin(
+        _scan(c, "b"), _scan(c, "a"), col("b.k"), col("a.k"))),
+    "merge_join": (paper2005._MERGE_JOIN, lambda c: MergeJoin(
+        _sorted(c, "a"), _sorted(c, "b"), col("a.k"), col("b.k"))),
+    "inl_join": (paper2005._INL_JOIN, lambda c: IndexNestedLoopsJoin(
+        _scan(c, "a"), c.hash_index("b", "k"), col("a.k"))),
+    "nl_join": (paper2005._NL_JOIN, lambda c: NestedLoopsJoin(
+        _scan(c, "a"), _scan(c, "b"), col("a.k") == col("b.k"))),
+    "limit": (paper2005._LIMIT, lambda c: Limit(_scan(c, "a"), 5)),
+    "union": (paper2005._UNION, lambda c: UnionAll(
+        Project(_scan(c, "a"), [("k", col("a.k"))]), _scan(c, "b"))),
+}
+
+#: the two edges that break the standard context above a node
+NON_STANDARD_PARENTS = {
+    "under_limit": lambda node, c: Limit(node, 3),
+    "nl_inner": lambda node, c: NestedLoopsJoin(_scan(c, "o"), node),
+}
+
+
+class TestNonStandardContext:
+    """Every bound rule evaluated below a LIMIT (``full_scan`` off) and as
+    a ⋈NL inner (``single_exec`` off, rescanned per outer row)."""
+
+    def test_every_classified_kind_is_covered(self):
+        tags = {tag for tag, _ in NODE_KINDS.values()}
+        assert tags == set(range(paper2005._OTHER))
+
+    @pytest.mark.parametrize("parent", sorted(NON_STANDARD_PARENTS))
+    @pytest.mark.parametrize("kind", sorted(NODE_KINDS))
+    def test_rule_matches_reference(self, kind, parent):
+        catalog = kinds_catalog()
+        tag, build = NODE_KINDS[kind]
+        node = build(catalog)
+        assert paper2005._classify(node) == tag
+        plan = Plan(NON_STANDARD_PARENTS[parent](node, catalog))
+        assert paper2005.standard_flags(plan.root)[node.operator_id] is False
+        assert run_comparing(plan, catalog, every=1) > 0
+        check_invariant_at_every_tick(plan, catalog)
 
 
 class TestTpchPlans:

@@ -1,11 +1,6 @@
-"""The monitor's event channel: tick/finish/rewind/reset listeners and
+"""The monitor's event channel: tick/finish/rewind/reset batch listeners and
 pipeline-boundary forced sampling."""
 
-import warnings
-
-import pytest
-
-from repro.core import observe
 from repro.engine.executor import execute, pipeline_boundary_operators
 from repro.engine.expressions import col
 from repro.engine.monitor import (
@@ -32,9 +27,11 @@ def make_table(name="t", n=5):
 
 
 def collect_events(plan_root, monitor=None):
+    """Run ``plan_root`` on the interpreted engine and return every batch
+    event as ``(operator_id, event, n)``."""
     monitor = monitor or ExecutionMonitor()
     events = []
-    monitor.add_tick_listener(lambda op, kind: events.append((op, kind)))
+    monitor.add_batch_listener(lambda op, kind, n: events.append((op, kind, n)))
     for _ in plan_root.iterate(ExecutionContext(monitor)):
         pass
     return events
@@ -46,14 +43,16 @@ class TestEventStream:
         scan = TableScan(table)
         events = collect_events(scan)
         ticks = [e for e in events if e[1] == EVENT_TICK]
-        assert len(ticks) == len(table)
-        assert all(op == scan.operator_id for op, _ in ticks)
+        # Row at a time: one event per counted row, each with n == 1.
+        assert ticks == [(scan.operator_id, EVENT_TICK, 1)] * len(table)
 
     def test_end_of_stream_emits_one_finish(self):
         scan = TableScan(make_table())
         monitor = ExecutionMonitor()
         events = []
-        monitor.add_tick_listener(lambda op, kind: events.append((op, kind)))
+        monitor.add_batch_listener(
+            lambda op, kind, n: events.append((op, kind, n))
+        )
         context = ExecutionContext(monitor)
         scan.open(context)
         while scan.get_next() is not None:
@@ -63,56 +62,43 @@ class TestEventStream:
         assert scan.get_next() is None
         scan.close()
         finishes = [e for e in events if e[1] == EVENT_FINISH]
-        assert finishes == [(scan.operator_id, EVENT_FINISH)]
+        assert finishes == [(scan.operator_id, EVENT_FINISH, 0)]
 
     def test_nested_loops_rescan_emits_rewinds(self):
         outer, inner = make_table("o", 3), make_table("i", 2)
         inner_scan = TableScan(inner)
         join = NestedLoopsJoin(TableScan(outer), inner_scan)
         events = collect_events(join)
-        rewinds = [op for op, kind in events if kind == EVENT_REWIND]
+        rewinds = [op for op, kind, _ in events if kind == EVENT_REWIND]
         # The join rewinds its inner subtree once per outer row.
         assert rewinds.count(inner_scan.operator_id) == len(outer)
 
     def test_reset_emits_reset_event(self):
         monitor = ExecutionMonitor()
         events = []
-        monitor.add_tick_listener(lambda op, kind: events.append((op, kind)))
+        monitor.add_batch_listener(
+            lambda op, kind, n: events.append((op, kind, n))
+        )
         monitor.register(1, "x")
         monitor.record(1)
         monitor.reset()
-        assert events[-1] == (0, EVENT_RESET)
+        assert events == [(1, EVENT_TICK, 1), (0, EVENT_RESET, 0)]
         assert monitor.total_ticks == 0
-
-    def test_remove_tick_listener(self):
-        monitor = ExecutionMonitor()
-        events = []
-        listener = lambda op, kind: events.append((op, kind))
-        monitor.add_tick_listener(listener)
-        monitor.register(1, "x")
-        monitor.record(1)
-        monitor.remove_tick_listener(listener)
-        monitor.record(1)
-        assert len(events) == 1
 
 
 class TestBatchChannel:
     def test_record_batch_coalesces_ticks_for_batch_listeners(self):
         monitor = ExecutionMonitor()
-        batched, per_tick = [], []
+        batched = []
         monitor.add_batch_listener(lambda op, kind, n: batched.append((op, kind, n)))
-        monitor.add_tick_listener(lambda op, kind: per_tick.append((op, kind)))
         monitor.register(7, "x")
-        # The tick listener forces the degraded per-tick loop, which is
-        # exactly what this test verifies — expect its one-time warning.
-        observe._warned_keys.discard("per-tick-listener-batch-fanout")
-        with pytest.warns(RuntimeWarning):
-            monitor.record_batch(7, 5)
+        monitor.record_batch(7, 5)
+        # One call for the whole batch, where record() makes one per tick.
         assert batched == [(7, EVENT_TICK, 5)]
-        # The per-tick channel still sees every individual tick.
-        assert per_tick == [(7, EVENT_TICK)] * 5
-        assert monitor.count_for(7) == 5
-        assert monitor.total_ticks == 5
+        monitor.record(7)
+        assert batched == [(7, EVENT_TICK, 5), (7, EVENT_TICK, 1)]
+        assert monitor.count_for(7) == 6
+        assert monitor.total_ticks == 6
 
     def test_record_batch_zero_or_negative_is_a_no_op(self):
         monitor = ExecutionMonitor()
@@ -217,47 +203,6 @@ class TestBatchChannel:
         monitor.remove_batch_listener(listener)
         monitor.record_batch(1, 2)
         assert batched == [(1, EVENT_TICK, 2)]
-
-
-class TestPerTickFanoutWarning:
-    """A per-tick listener forces record_batch into an n-call Python loop;
-    the first coalesced batch that hits it warns once per process."""
-
-    KEY = "per-tick-listener-batch-fanout"
-
-    def test_record_batch_with_tick_listener_warns_once(self):
-        observe._warned_keys.discard(self.KEY)
-        monitor = ExecutionMonitor()
-        monitor.add_tick_listener(lambda op, kind: None)
-        monitor.register(1, "x")
-        with pytest.warns(RuntimeWarning, match="per-tick listener"):
-            monitor.record_batch(1, 2)
-        # Once per process: later batches (same or fresh monitor) are silent.
-        other = ExecutionMonitor()
-        other.add_tick_listener(lambda op, kind: None)
-        other.register(1, "x")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            monitor.record_batch(1, 2)
-            other.record_batch(1, 2)
-
-    def test_single_tick_batches_do_not_warn(self):
-        # n == 1 is exactly one listener call — no fan-out, no warning.
-        observe._warned_keys.discard(self.KEY)
-        monitor = ExecutionMonitor()
-        monitor.add_tick_listener(lambda op, kind: None)
-        monitor.register(1, "x")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            monitor.record_batch(1, 1)
-
-    def test_batches_without_tick_listeners_do_not_warn(self):
-        observe._warned_keys.discard(self.KEY)
-        monitor = ExecutionMonitor()
-        monitor.register(1, "x")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            monitor.record_batch(1, 100)
 
 
 def accumulated_event_stream(build_plan, engine, every=None):

@@ -31,7 +31,7 @@ from repro.server import (
     ServerConfig,
     TenantQuota,
 )
-from repro.server import wsproto
+from repro.server import app, wsproto
 from repro.stats import StatisticsManager
 from repro.storage import Table, schema_of
 from repro.workloads import generate_tpch
@@ -276,6 +276,19 @@ class TestMalformedRequests:
         finally:
             client.cancel(record["id"])
         assert client.healthz()["ok"] is True
+
+    @pytest.mark.parametrize("partial", [b"", b"GET /healthz HTTP/1.1\r\n"])
+    def test_idle_client_is_408(self, server, monkeypatch, partial):
+        # A client that connects and then stalls — before the request
+        # line, or between headers — is answered and closed instead of
+        # holding its connection forever.
+        monkeypatch.setattr(app, "REQUEST_READ_TIMEOUT", 0.2)
+        started = time.monotonic()
+        status, line, payload = raw_request(server, partial)
+        assert status == 408
+        assert line.endswith("Request Timeout")
+        assert "no complete request" in payload["error"]
+        assert time.monotonic() - started < 5.0
 
     def test_server_still_serves_after_bad_requests(self, client):
         assert client.healthz()["ok"] is True
